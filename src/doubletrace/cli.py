@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import multiprocessing
 import os
 import sys
 from typing import Optional, Sequence
@@ -541,6 +540,9 @@ def _restriction_size_sweep(
         for combo in itertools.combinations(range(g.edge_count), p)
     ]
     if jobs > 1:
+        # imported here: it costs every other query memory and start-up time
+        import multiprocessing
+
         with multiprocessing.Pool(jobs) as pool:
             batches = pool.map(_sweep_job, work)
     else:

@@ -137,6 +137,14 @@ def find_admissible_tree(
 
     Trees are generated in lexicographic edge-index order, so the result is
     deterministic.  Inputs above the size thresholds raise CapacityError.
+
+    Edges are decided in index order, tree edge first.  A second union-find
+    tracks the co-tree decided so far; each of its roots stores the
+    component's edge-count parity, whether it holds a witness, and the
+    largest edge index incident to any of its vertices.  Once that edge is
+    decided the component can no longer grow, so an odd one without a
+    witness prunes every tree below: the first admissible tree is the same
+    one a leaf-by-leaf check would find.
     """
     _reject_disconnected(h)
     pred = _as_predicate(witness)
@@ -152,45 +160,105 @@ def find_admissible_tree(
         )
 
     target = max(n - 1, 0)
+    ends = [h.endpoints(i) for i in range(m)]
+    # no path compression in either union-find: every union is undone in
+    # reverse order on the way back up
     parent = list(range(n))
+    co_parent = list(range(n))
+    co_odd = [False] * n
+    co_wit = [pred(v) for v in range(n)]
+    co_last = [-1] * n
+    for i, (a, b) in enumerate(ends):
+        co_last[a] = co_last[b] = i
 
-    # no path compression: unions must be undoable by a single assignment
     def find(x: int) -> int:
         while parent[x] != x:
             x = parent[x]
         return x
 
-    chosen: list[int] = []
-    best: list[SpanningTreeCertificate] = []
+    def co_find(x: int) -> int:
+        while co_parent[x] != x:
+            x = co_parent[x]
+        return x
 
-    def attempt(tree: list[int]) -> bool:
-        tree_set = set(tree)
-        co_tree = [i for i in range(m) if i not in tree_set]
-        report = components_with_parity(induced_edge_subgraph(h, co_tree), pred)
-        if all(not c.odd or c.has_witness for c in report):
-            best.append(SpanningTreeCertificate(h, frozenset(tree), report))
-            return True
-        return False
+    def co_join(a: int, b: int) -> tuple:
+        """Add a co-tree edge; returns what undoing it needs."""
+        ra, rb = co_find(a), co_find(b)
+        saved = (ra, rb, co_odd[rb], co_wit[rb], co_last[rb])
+        if ra != rb:
+            co_parent[ra] = rb
+            co_odd[rb] ^= co_odd[ra]
+            co_wit[rb] = co_wit[rb] or co_wit[ra]
+            co_last[rb] = max(co_last[rb], co_last[ra])
+        co_odd[rb] = not co_odd[rb]
+        return saved
+
+    def co_split(saved: tuple) -> None:
+        ra, rb, co_odd[rb], co_wit[rb], co_last[rb] = saved
+        co_parent[ra] = ra
+
+    def settled(i: int, a: int, b: int) -> bool:
+        """False when deciding edge i closed an odd unwitnessed component."""
+        for v in (a, b):
+            r = co_find(v)
+            if co_last[r] <= i and co_odd[r] and not co_wit[r]:
+                return False
+        return True
+
+    chosen: list[int] = []
 
     def search(i: int) -> bool:
-        if len(chosen) == target:
-            return attempt(chosen)
-        if i == m or len(chosen) + (m - i) < target:
+        if i == m:
+            return len(chosen) == target
+        if len(chosen) + (m - i) < target:
             return False
-        a, b = h.endpoints(i)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            chosen.append(i)
-            if search(i + 1):
-                return True
-            chosen.pop()
-            parent[ra] = ra
-        return search(i + 1)
+        a, b = ends[i]
+        if len(chosen) < target:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+                chosen.append(i)
+                if settled(i, a, b) and search(i + 1):
+                    return True
+                chosen.pop()
+                parent[ra] = ra
+        saved = co_join(a, b)
+        if settled(i, a, b) and search(i + 1):
+            return True
+        co_split(saved)
+        return False
 
-    if search(0):
-        return best[0]
-    return None
+    if not search(0):
+        return None
+    tree = frozenset(chosen)
+    co_tree = [i for i in range(m) if i not in tree]
+    report = components_with_parity(induced_edge_subgraph(h, co_tree), pred)
+    return SpanningTreeCertificate(h, tree, report)
+
+
+def _odd_rank_refutation(
+    h: Union[Graph, Multigraph], witness: WitnessSpec
+) -> Optional[FeasibilityAnswer]:
+    """A no without tree search, when one follows from the co-tree rank.
+
+    Every spanning tree leaves the same number of co-tree edges, the rank
+    m - n + 1.  When it is odd some co-tree component is odd, and without a
+    witness vertex nothing excuses it.  Subdividing edges keeps the rank, so
+    the rule reads the same on a quotient and on its simplified graph.
+    """
+    rank = h.edge_count - h.vertex_count + 1
+    if rank % 2 == 0:
+        return None
+    pred = _as_predicate(witness)
+    if any(pred(v) for v in range(h.vertex_count)):
+        return None
+    return FeasibilityAnswer(
+        False,
+        violated=(
+            f"co-tree rank {rank} is odd and no vertex is a witness, so every "
+            "spanning tree leaves an odd co-tree component",
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +303,9 @@ def has_antiparallel_strong_trace(g: Graph) -> FeasibilityAnswer:
     """Needs a spanning tree whose co-tree components all have an even
     number of edges."""
     _reject_disconnected(g)
+    refuted = _odd_rank_refutation(g, None)
+    if refuted is not None:
+        return refuted
     cert = find_admissible_tree(g, None)
     if cert is not None:
         return FeasibilityAnswer(True, certificate=cert)
@@ -250,7 +321,11 @@ def has_antiparallel_d_stable_trace(g: Graph, d: int) -> FeasibilityAnswer:
     if bad is not None:
         return FeasibilityAnswer(False, violated=(bad,))
     bar = 2 * d + 2
-    cert = find_admissible_tree(g, lambda v: g.degree(v) >= bar)
+    witness = lambda v: g.degree(v) >= bar
+    refuted = _odd_rank_refutation(g, witness)
+    if refuted is not None:
+        return refuted
+    cert = find_admissible_tree(g, witness)
     if cert is not None:
         return FeasibilityAnswer(True, certificate=cert)
     return FeasibilityAnswer(
@@ -369,11 +444,14 @@ def has_E_restricted_strong_trace(g: Graph, r: RestrictionSet) -> FeasibilityAns
             False, violated=(f"vertices {bad} have odd degree outside the restriction",)
         )
     analysis = _restricted_analysis(g, r)
+    searched = analysis.simplified.graph
+    witness = analysis.witness_on_simplified()
+    refuted = _odd_rank_refutation(searched, witness)
+    if refuted is not None:
+        return refuted
     _gate_quotient(analysis.contraction.quotient)
     cert = find_admissible_tree(
-        analysis.simplified.graph,
-        analysis.witness_on_simplified(),
-        max_vertices=analysis.simplified.graph.vertex_count,
+        searched, witness, max_vertices=searched.vertex_count
     )
     if cert is not None:
         return FeasibilityAnswer(True, certificate=cert, even_fragment=frag)
@@ -402,11 +480,14 @@ def has_E_restricted_d_stable_trace(
         )
     bar = 2 * d + 2
     analysis = _restricted_analysis(g, r)
+    searched = analysis.simplified.graph
+    witness = analysis.witness_on_simplified(bar)
+    refuted = _odd_rank_refutation(searched, witness)
+    if refuted is not None:
+        return refuted
     _gate_quotient(analysis.contraction.quotient)
     cert = find_admissible_tree(
-        analysis.simplified.graph,
-        analysis.witness_on_simplified(bar),
-        max_vertices=analysis.simplified.graph.vertex_count,
+        searched, witness, max_vertices=searched.vertex_count
     )
     if cert is not None:
         return FeasibilityAnswer(True, certificate=cert, even_fragment=frag)
@@ -610,7 +691,6 @@ def _mixed_restricted_core(
             )
 
     cmap = contract_mixed(b, eprime)
-    _gate_quotient(cmap.quotient)
     simp = simplify_multigraph(cmap.quotient)
     limit = cmap.quotient.vertex_count
     wit = set(cmap.eprime_vertices)
@@ -618,10 +698,13 @@ def _mixed_restricted_core(
         wit.update(
             v for v in range(limit) if cmap.quotient.degree(v) >= degree_bar
         )
+    witness = lambda v: v < limit and v in wit
+    refuted = _odd_rank_refutation(simp.graph, witness)
+    if refuted is not None:
+        return refuted
+    _gate_quotient(cmap.quotient)
     cert = find_admissible_tree(
-        simp.graph,
-        lambda v: v < limit and v in wit,
-        max_vertices=simp.graph.vertex_count,
+        simp.graph, witness, max_vertices=simp.graph.vertex_count
     )
     if cert is not None:
         return FeasibilityAnswer(True, certificate=cert)

@@ -9,7 +9,7 @@ import pytest
 
 from doubletrace import cli
 from doubletrace.errors import ParseError
-from doubletrace.graphs import Graph, MixedGraph, Multigraph
+from doubletrace.graphs import Graph, MixedGraph, Multigraph, complete_graph
 from doubletrace.traces import (
     DoubleTrace,
     RestrictionSet,
@@ -166,6 +166,24 @@ class TestCheck:
         assert code == 1
         assert doc["outcome"] == "false"
         assert doc["violated"]
+
+    def test_odd_rank_past_the_gates_is_a_verdict(self, tmp_path, capsys):
+        # the dodecahedron GP(10, 2): 20 vertices, co-tree rank 11
+        edges = [(i, (i + 1) % 10) for i in range(10)]
+        edges += [(i, 10 + i) for i in range(10)]
+        edges += [(10 + i, 10 + (i + 2) % 10) for i in range(10)]
+        path = write(tmp_path, "dodeca.g", cli.render_graph(Graph(20, edges)))
+        code, doc, _ = run_json(capsys, "check", path, "--variant", "antiparallel")
+        assert code == 1
+        assert doc["outcome"] == "false"
+        assert "co-tree rank 11 is odd" in doc["violated"][0]
+
+    def test_even_rank_past_the_gates_is_capacity(self, tmp_path, capsys):
+        # K9 has co-tree rank 28: the tree search still refuses it
+        path = write(tmp_path, "k9.g", cli.render_graph(complete_graph(9)))
+        code, doc, _ = run_json(capsys, "check", path, "--variant", "antiparallel")
+        assert code == 3
+        assert doc["outcome"] == "unknown (capacity)"
 
     def test_default_variant_without_restriction_is_strong(self, tmp_path, capsys):
         path = write(tmp_path, "c3.g", C3_TEXT)

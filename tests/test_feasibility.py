@@ -1,12 +1,18 @@
 """Decision procedures and their certificates."""
 
 import itertools
+import json
+import random
+from pathlib import Path
 
 import pytest
 
+from doubletrace import feasibility
 from doubletrace.errors import CapacityError, InputError, PreconditionError
 from doubletrace.feasibility import (
     SpanningTreeCertificate,
+    _as_predicate,
+    _restricted_analysis,
     find_admissible_tree,
     has_antiparallel_d_stable_trace,
     has_antiparallel_strong_trace,
@@ -25,8 +31,11 @@ from doubletrace.feasibility import (
 from doubletrace.graphs import (
     Graph,
     MixedGraph,
+    Multigraph,
     complete_graph,
+    components_with_parity,
     cycle_graph,
+    induced_edge_subgraph,
     is_connected,
     path_graph,
 )
@@ -39,6 +48,26 @@ C3 = cycle_graph(3)
 K4 = complete_graph(4)
 K5 = complete_graph(5)
 DIAMOND = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+KERNEL_SLOTS = Path(__file__).parent.parent / "e2ebench" / "kernel_slots.json"
+
+
+def icosahedron():
+    # apex 0, upper ring 1..5, lower ring 6..10, apex 11
+    edges = [(0, i) for i in range(1, 6)]
+    edges += [(i, i % 5 + 1) for i in range(1, 6)]
+    edges += [(6 + j, 6 + (j + 1) % 5) for j in range(5)]
+    edges += [(i, 5 + i) for i in range(1, 6)]
+    edges += [(i, 6 + i % 5) for i in range(1, 6)]
+    edges += [(11, 6 + j) for j in range(5)]
+    return Graph(12, edges)
+
+
+def dodecahedron():
+    # the generalized Petersen graph GP(10, 2)
+    edges = [(i, (i + 1) % 10) for i in range(10)]
+    edges += [(i, 10 + i) for i in range(10)]
+    edges += [(10 + i, 10 + (i + 2) % 10) for i in range(10)]
+    return Graph(20, edges)
 
 
 def tree_is_admissible_by_hand(g, tree, witness=None):
@@ -238,10 +267,163 @@ class TestTreeSearch:
             find_admissible_tree(fat)
         # lifted: the 18 co-tree edges form a single even component
         assert find_admissible_tree(fat, max_corank=18) is not None
+        # odd rank without witnesses is refuted by the decision surfaces;
+        # the search itself still gates and then searches
+        odd = Multigraph(2, [(0, 1)] * 18)
+        with pytest.raises(CapacityError):
+            find_admissible_tree(odd)
+        assert find_admissible_tree(odd, max_corank=17) is None
 
     def test_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
             find_admissible_tree(Graph(2, []))
+
+
+def leaf_rebuild_search(h, witness=None):
+    """The tree search as it was before the incremental co-tree union-find:
+    the same lexicographic enumeration, but every complete tree's co-tree
+    is rebuilt and analysed from scratch.  Returns (tree, report) or None."""
+    pred = _as_predicate(witness)
+    n, m = h.vertex_count, h.edge_count
+    target = max(n - 1, 0)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    chosen = []
+    found = []
+
+    def attempt():
+        tree = frozenset(chosen)
+        co_tree = [i for i in range(m) if i not in tree]
+        report = components_with_parity(induced_edge_subgraph(h, co_tree), pred)
+        if all(not c.odd or c.has_witness for c in report):
+            found.append((tree, report))
+            return True
+        return False
+
+    def search(i):
+        if len(chosen) == target:
+            return attempt()
+        if i == m or len(chosen) + (m - i) < target:
+            return False
+        a, b = h.endpoints(i)
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            chosen.append(i)
+            if search(i + 1):
+                return True
+            chosen.pop()
+            parent[ra] = ra
+        return search(i + 1)
+
+    return found[0] if search(0) else None
+
+
+def assert_same_search(h, witness):
+    ref = leaf_rebuild_search(h, witness)
+    cert = find_admissible_tree(h, witness, max_vertices=64, max_corank=64)
+    if ref is None:
+        assert cert is None
+        return False
+    assert cert is not None
+    assert (cert.tree_edges, cert.co_tree_report) == ref
+    return True
+
+
+class TestIncrementalSearchMatchesLeafRebuild:
+    """The pruned search returns the first tree of the full enumeration,
+    with the same report; construction orders its edges by that tree."""
+
+    def test_all_small_connected_graphs(self):
+        rng = random.Random(11)
+        count = found = 0
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+                if not is_connected(g):
+                    continue
+                for witness in (None, {v for v in range(n) if rng.random() < 0.3}):
+                    count += 1
+                    found += assert_same_search(g, witness)
+        assert count == 1544
+        assert 0 < found < count
+
+    def test_seeded_multigraphs(self):
+        rng = random.Random(12)
+        count = found = 0
+        while count < 400:
+            n = rng.randint(1, 7)
+            edges = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(max(n - 1, 0), n + 7))]
+            h = Multigraph(n, edges)
+            if not is_connected(h):
+                continue
+            witness = None if count % 2 else {v for v in range(n) if rng.random() < 0.2}
+            count += 1
+            found += assert_same_search(h, witness)
+        assert 0 < found < count
+
+    def test_kernel_slot_quotients(self):
+        slots = json.loads(KERNEL_SLOTS.read_text())
+        assert len(slots) == 16
+        for item in slots:
+            g = Graph(item["n"], item["edges"])
+            anti = item["restriction"]
+            r = RestrictionSet.of(range(g.edge_count) if anti is None else anti)
+            analysis = _restricted_analysis(g, r)
+            for bar in (None, 4):
+                assert_same_search(
+                    analysis.simplified.graph, analysis.witness_on_simplified(bar)
+                )
+
+
+class TestOddRankRefutation:
+    def test_polyhedra_refuted_by_rank(self):
+        # both lie past the tree-search gates: 12 and 20 vertices
+        for g, rank in ((icosahedron(), 19), (dodecahedron(), 11)):
+            assert g.edge_count == 30
+            assert is_connected(g)
+            ans = has_antiparallel_strong_trace(g)
+            assert not ans
+            assert ans.certificate is None
+            assert f"co-tree rank {rank} is odd" in ans.violated[0]
+            full = RestrictionSet.of(range(g.edge_count))
+            ans = has_E_restricted_strong_trace(g, full)
+            assert not ans
+            assert f"co-tree rank {rank} is odd" in ans.violated[0]
+
+    def test_witness_sends_odd_rank_to_search(self, monkeypatch):
+        calls = []
+
+        def spy(h, witness=None, **kw):
+            calls.append(h.edge_count - h.vertex_count + 1)
+            return find_admissible_tree(h, witness, **kw)
+
+        monkeypatch.setattr(feasibility, "find_admissible_tree", spy)
+        # K5 plus the path 4-5-6-0: rank 7, K5's vertices reach degree 4
+        g = Graph(7, list(K5.edges) + [(4, 5), (5, 6), (6, 0)])
+        ans = has_antiparallel_d_stable_trace(g, 1)
+        assert ans
+        assert ans.certificate.revalidate(lambda v: g.degree(v) >= 4)
+        # K5 bridged to a triangle: rank 7, and the triangle's co-tree edge
+        # never reaches a vertex of degree 4
+        g = Graph(8, list(K5.edges) + [(4, 5), (5, 6), (6, 7), (7, 5)])
+        ans = has_antiparallel_d_stable_trace(g, 1)
+        assert not ans
+        assert "co-tree rank" not in ans.violated[0]
+        # two triangles at vertex 0, the second restricted: the quotient is
+        # a triangle (rank 1) through the contracted first one
+        g = Graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+        ans = has_E_restricted_strong_trace(g, RestrictionSet.of((3, 4, 5)))
+        assert ans
+        assert ans.certificate is not None
+        assert calls == [7, 7, 1]
 
 
 class TestCertificateRevalidation:
