@@ -292,16 +292,32 @@ def _free_direction_build(g: Graph, d: Optional[int]) -> DoubleTrace:
 
     Any trace fixes one, so sweeping candidate sets in (size, lex) order is
     complete.  The fragment left outside the set must be even, which prunes
-    by degree parity before the full test runs.
+    by degree parity before the full test runs.  The empty set needs no
+    sweep and meets the parity target whenever every degree is even, so it
+    is tried before the capacity gate, which bounds only the nonempty sets.
     """
+
+    def build(combo: tuple[int, ...]) -> Optional[DoubleTrace]:
+        r = RestrictionSet.of(combo)
+        if d is None:
+            if has_E_restricted_strong_trace(g, r).verdict:
+                return build_E_restricted_strong_trace(g, r)
+        elif has_E_restricted_d_stable_trace(g, r, d).verdict:
+            return build_E_restricted_d_stable_trace(g, r, d)
+        return None
+
+    target = [g.degree(v) % 2 for v in range(g.vertex_count)]
+    if not any(target):
+        trace = build(())
+        if trace is not None:
+            return trace
     m = g.edge_count
     if m > SWEEP_MAX_EDGES:
         raise CapacityError(
             f"free-direction construction sweeps antiparallel sets of up to "
             f"{m} edges; the limit is {SWEEP_MAX_EDGES}"
         )
-    target = [g.degree(v) % 2 for v in range(g.vertex_count)]
-    for k in range(m + 1):
+    for k in range(1, m + 1):
         for combo in itertools.combinations(range(m), k):
             parity = [0] * g.vertex_count
             for i in combo:
@@ -310,12 +326,9 @@ def _free_direction_build(g: Graph, d: Optional[int]) -> DoubleTrace:
                 parity[b] ^= 1
             if parity != target:
                 continue
-            r = RestrictionSet.of(combo)
-            if d is None:
-                if has_E_restricted_strong_trace(g, r).verdict:
-                    return build_E_restricted_strong_trace(g, r)
-            elif has_E_restricted_d_stable_trace(g, r, d).verdict:
-                return build_E_restricted_d_stable_trace(g, r, d)
+            trace = build(combo)
+            if trace is not None:
+                return trace
     raise InternalConsistencyError(
         "free-direction verdict was positive but no antiparallel set is realizable"
     )

@@ -1,9 +1,12 @@
 """Synthesis of traces behind positive feasibility verdicts.
 
 The builders here turn certificates into actual walks: Euler tours and
-doubled tours for the all-parallel cases, a split-and-project construction
-for antiparallel traces with confined repetitions, and the full
-contract/cut/lift/merge/repair pipeline for restricted strong traces.
+doubled tours for the all-parallel cases, one-face embeddings built by
+Xuong's pair insertion for antiparallel strong traces, a split-and-project
+construction for antiparallel traces with confined repetitions, and the
+full contract/cut/lift/merge/repair pipeline for restricted strong traces.
+All of these are polynomial; only d-stable traces certified by a
+high-degree vertex alone fall back to the exhaustive search kernel.
 Every operation is a deterministic function of its inputs, so repeated runs
 reproduce the same step sequences byte for byte.
 """
@@ -304,58 +307,139 @@ def _repair_to_strong(
 # ---------------------------------------------------------------------------
 
 
-def _tree_boundary_walk(g: Graph, tree_edges: frozenset[int]) -> tuple[Step, ...]:
-    # walk around the tree: each edge down then back up, children by index
-    down: dict[int, list[Step]] = {v: [] for v in range(g.vertex_count)}
-    for i in sorted(tree_edges):
-        a, b = g.endpoints(i)
-        down[a].append((i, 0))
-        down[b].append((i, 1))
-    steps: list[Step] = []
-    seen = [False] * g.vertex_count
-    seen[0] = True
-    # stack entries: vertex, step that entered it, next branch to try
-    stack: list[tuple[int, Optional[Step], int]] = [(0, None, 0)]
-    while stack:
-        v, entry, k = stack.pop()
-        if k < len(down[v]):
-            stack.append((v, entry, k + 1))
-            step = down[v][k]
-            u = step_head(g, step)
-            if not seen[u]:
-                seen[u] = True
-                steps.append(step)
-                stack.append((u, step, 0))
-        elif entry is not None:
-            steps.append((entry[0], 1 - entry[1]))
+def _adjacent_pairs(
+    host: Host, edge_ids: Sequence[int]
+) -> list[tuple[int, int, int]]:
+    """Split a connected edge set of even size into paths of two edges
+    (Kotzig), as (first edge, second edge, shared vertex).
+
+    Vertices are settled deepest first in a breadth-first tree of the set;
+    each pairs off its unpaired edges other than the one to its parent,
+    adding that one when their number is odd.  A loop is one edge at its
+    vertex.
+    """
+    adj: dict[int, list[int]] = {}
+    for e in edge_ids:
+        a, b = host.endpoints(e)
+        adj.setdefault(a, []).append(e)
+        if b != a:
+            adj.setdefault(b, []).append(e)
+    root = host.endpoints(edge_ids[0])[0]
+    parent: dict[int, int] = {root: -1}
+    order = [root]
+    for v in order:
+        for e in adj[v]:
+            a, b = host.endpoints(e)
+            w = b if a == v else a
+            if w not in parent:
+                parent[w] = e
+                order.append(w)
+    paired: set[int] = set()
+    pairs = []
+    for v in reversed(order):
+        free = [e for e in adj[v] if e not in paired and e != parent[v]]
+        if len(free) % 2:
+            if parent[v] < 0:
+                raise InternalConsistencyError(
+                    f"co-tree component {sorted(edge_ids)!r} is odd or disconnected"
+                )
+            free.append(parent[v])
+        for k in range(0, len(free), 2):
+            pairs.append((free[k], free[k + 1], v))
+            paired.update(free[k : k + 2])
+    return pairs
+
+
+def _one_face_walk(host: Host, cert: SpanningTreeCertificate) -> tuple[Step, ...]:
+    """Boundary walk of a one-face orientable embedding (Xuong 1979).
+
+    Dart ``2e + f`` is step ``(e, f)`` and leaves endpoint ``f`` of edge
+    ``e``; ``rot[d]`` is the dart after ``d`` around its tail, and the face
+    walk goes from ``d`` to ``rot[d ^ 1]``.  The tree is embedded with each
+    vertex's parent dart first and the rest by edge index, so its single
+    face is the walk around the tree from vertex 0, children by index.  Each
+    co-tree pair (e1, e2) at v is then inserted: e1 splits the face in two,
+    with the corners just before and just after e1 at v on different sides,
+    and e2 runs from the one on the far side to a corner at its other end,
+    merging the two faces again.
+    """
+    n, m = host.vertex_count, host.edge_count
+
+    def tail(d: int) -> int:
+        return host.endpoints(d >> 1)[d & 1]
+
+    rot = [-1] * (2 * m)
+    first = [-1] * n  # a dart at each vertex, once it has one
+
+    def insert(d: int, after: int) -> None:
+        if after < 0:
+            rot[d] = d
+            first[tail(d)] = d
+        else:
+            rot[d], rot[after] = rot[after], d
+
+    darts: list[list[int]] = [[] for _ in range(n)]
+    for e in sorted(cert.tree_edges):
+        darts[tail(2 * e)].append(2 * e)
+        darts[tail(2 * e + 1)].append(2 * e + 1)
+    up = [-1] * n  # each vertex's dart toward vertex 0
+    order = [0] if n else []
+    for v in order:
+        ring = [d for d in darts[v] if d != up[v]]
+        for d in ring:
+            up[tail(d ^ 1)] = d ^ 1
+            order.append(tail(d ^ 1))
+        if up[v] >= 0:
+            ring.insert(0, up[v])
+        for k, d in enumerate(ring):
+            rot[d] = ring[(k + 1) % len(ring)]
+        if ring:
+            first[v] = ring[0]
+
+    for comp in cert.co_tree_report:
+        for e1, e2, v in _adjacent_pairs(host, sorted(comp.edges)):
+            d1 = 2 * e1 + (tail(2 * e1) != v)
+            insert(d1 ^ 1, first[tail(d1 ^ 1)])
+            before = first[v]
+            insert(d1, before)
+            d2 = 2 * e2 + (tail(2 * e2) != v)
+            far = first[tail(d2 ^ 1)]
+            # the corner after ``far`` lies on the face of rot[far]; e2
+            # leaves v through the corner on the other face
+            side = d1 if _on_face_of(rot, d1, rot[far]) else before
+            insert(d2, side)
+            insert(d2 ^ 1, far)
+
+    if not m:
+        return ()
+    start = first[0]
+    steps = [(start >> 1, start & 1)]
+    d = rot[start ^ 1]
+    while d != start:
+        steps.append((d >> 1, d & 1))
+        d = rot[d ^ 1]
+    if len(steps) != 2 * m:
+        raise InternalConsistencyError(
+            f"embedding has a face of {len(steps)} of {2 * m} darts: "
+            f"edges {host.edges!r}, tree {sorted(cert.tree_edges)!r}"
+        )
     return tuple(steps)
 
 
-def _search_restricted_trace(
-    host: Host,
-    order: Sequence[int],
-    labels: Sequence[int],
-    require_strong: bool,
-    d_max: int,
-) -> Optional[tuple[Step, ...]]:
-    ea = []
-    eb = []
-    for i in order:
-        a, b = host.endpoints(i)
-        ea.append(a)
-        eb.append(b)
-    found = search_backend.run(
-        host.vertex_count,
-        ea,
-        eb,
-        list(labels),
-        require_strong=require_strong,
-        d_max=d_max,
-        mode=search_backend.MODE_EXISTS,
-    )
-    if found is None:
-        return None
-    return tuple((order[k], f) for k, f in found)
+def _on_face_of(rot: list[int], d1: int, target: int) -> bool:
+    # d1 and d1 ^ 1 bound two different faces: walk both at once and stop
+    # when one closes or meets the target, so the cost is the smaller face
+    a, b = d1, d1 ^ 1
+    while True:
+        if a == target:
+            return True
+        if b == target:
+            return False
+        a, b = rot[a ^ 1], rot[b ^ 1]
+        if a == d1:
+            return False
+        if b == d1 ^ 1:
+            return True
 
 
 def antiparallel_strong_trace(
@@ -364,10 +448,12 @@ def antiparallel_strong_trace(
     """Antiparallel strong trace of ``g`` from an all-even co-tree
     certificate.
 
-    Trees are walked around directly.  Otherwise an exhaustive
-    direction-constrained search runs with the certificate's tree edges
-    ordered first; the certificate guarantees a trace exists, so exhaustion
-    is reported as an internal failure rather than a verdict.
+    The trace is the boundary walk of a one-face orientable embedding built
+    from the certificate by Xuong's pair insertion: each edge is walked once
+    in each direction, and at every vertex the rotation is a single cycle of
+    transitions, so the walk is strong.  Each co-tree pair costs at most a
+    walk around a face, and the single face is checked before the walk is
+    returned.
     """
     _require_connected(g)
     if (
@@ -378,20 +464,7 @@ def antiparallel_strong_trace(
         raise PreconditionError(
             "certificate does not fit this graph or leaves an odd co-tree component"
         )
-    if g.edge_count == g.vertex_count - 1:
-        return DoubleTrace(g, _tree_boundary_walk(g, cert.tree_edges))
-    order = sorted(cert.tree_edges) + [
-        i for i in range(g.edge_count) if i not in cert.tree_edges
-    ]
-    steps = _search_restricted_trace(
-        g, order, [search_backend.ANTI] * g.edge_count, True, 0
-    )
-    if steps is None:
-        raise InternalConsistencyError(
-            f"certified graph admitted no antiparallel strong trace: "
-            f"edges {g.edges!r}, tree {sorted(cert.tree_edges)!r}"
-        )
-    return DoubleTrace(g, steps)
+    return DoubleTrace(g, _one_face_walk(g, cert))
 
 
 def _splittable_edge(h: Graph, comp, v: int, attach: Sequence[int]) -> int:
@@ -791,6 +864,23 @@ def build_E_restricted_strong_trace(g: Graph, r: RestrictionSet) -> DoubleTrace:
     )
 
 
+def _search_restricted_trace(
+    host: Host, labels: Sequence[int], d_max: int
+) -> Optional[tuple[Step, ...]]:
+    ends = [host.endpoints(i) for i in range(host.edge_count)]
+    found = search_backend.run(
+        host.vertex_count,
+        [a for a, _ in ends],
+        [b for _, b in ends],
+        list(labels),
+        d_max=d_max,
+        mode=search_backend.MODE_EXISTS,
+    )
+    if found is None:
+        return None
+    return tuple((k, f) for k, f in found)
+
+
 def build_E_restricted_d_stable_trace(
     g: Graph, r: RestrictionSet, d: int
 ) -> DoubleTrace:
@@ -814,9 +904,7 @@ def build_E_restricted_d_stable_trace(
         search_backend.ANTI if i in restricted else search_backend.PAR
         for i in range(g.edge_count)
     ]
-    steps = _search_restricted_trace(
-        g, range(g.edge_count), labels, False, d
-    )
+    steps = _search_restricted_trace(g, labels, d)
     if steps is None:
         raise InternalConsistencyError(
             f"certified graph admitted no {d}-stable restricted trace: "
@@ -861,9 +949,7 @@ def build_mixed_trace(
                 search_backend.ANTI if i in restricted else search_backend.PAR
                 for i in range(und)
             ] + [search_backend.ARC] * len(b.arcs)
-            steps = _search_restricted_trace(
-                b, range(b.edge_count), labels, False, d
-            )
+            steps = _search_restricted_trace(b, labels, d)
             if steps is None:
                 raise InternalConsistencyError(
                     f"certified mixed graph admitted no {d}-stable trace: "

@@ -318,6 +318,26 @@ class TestConstruct:
         assert out.count("->") == 6
         assert 'label="e0 s0"' in out
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            complete_graph(7),
+            Graph(10, [(i, (i + s) % 10) for s in (1, 2) for i in range(10)]),
+        ],
+        ids=["K7", "C10(1,2)"],
+    )
+    @pytest.mark.parametrize("dstable", [False, True], ids=["strong", "dstable"])
+    def test_even_degrees_past_the_sweep_gate(self, tmp_path, capsys, g, dstable):
+        # more edges than the sweep allows, but the empty antiparallel set fits
+        assert g.edge_count > cli.SWEEP_MAX_EDGES
+        path = write(tmp_path, "even.g", cli.render_graph(g))
+        argv = ("--variant", "dstable") if dstable else ()
+        code, doc, _ = run_json(capsys, "construct", path, *argv)
+        assert code == 0
+        walk = DoubleTrace(g, steps_of(doc))
+        assert validate_double_trace(walk).ok
+        assert is_d_stable(walk, 1) if dstable else is_strong(walk)
+
     def test_sweep_capacity_exit_3(self, tmp_path, capsys):
         edges = [(i, i + 1) for i in range(11)] + [(i, i + 4) for i in range(7)]
         text = "n 12\n" + "".join(f"e {u} {v}\n" for u, v in edges)

@@ -1,9 +1,12 @@
 """Builders: tours, surgery, and the restricted-trace pipelines."""
 
 import itertools
+import random
+import time
 
 import pytest
 
+from doubletrace import search_backend
 from doubletrace.construction import (
     OpenWalk,
     WalkFamily,
@@ -23,6 +26,7 @@ from doubletrace.errors import (
     SurgeryInapplicableError,
 )
 from doubletrace.feasibility import (
+    SpanningTreeCertificate,
     find_admissible_tree,
     has_antiparallel_strong_trace,
     has_E_restricted_d_stable_trace,
@@ -34,6 +38,7 @@ from doubletrace.graphs import (
     MixedGraph,
     Multigraph,
     complete_graph,
+    components_with_parity,
     cycle_graph,
     induced_edge_subgraph,
     is_connected,
@@ -49,6 +54,7 @@ from doubletrace.traces import (
     classify_directions,
     is_d_stable,
     is_strong,
+    step_head,
     transition_system,
     validate_double_trace,
 )
@@ -98,6 +104,65 @@ def connected_graphs(n):
         if is_connected(g):
             out.append(g)
     return out
+
+
+def labeled_trees(n):
+    """Every labeled tree on n vertices, decoded from its Prufer sequence."""
+    if n <= 2:
+        yield [(0, 1)] if n == 2 else []
+        return
+    for code in itertools.product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for x in code:
+            degree[x] += 1
+        edges = []
+        for x in code:
+            leaf = degree.index(1)
+            edges.append((leaf, x))
+            degree[leaf] -= 1
+            degree[x] -= 1
+        edges.append(tuple(v for v in range(n) if degree[v] == 1))
+        yield edges
+
+
+def tree_walk_reference(g):
+    """Walk around a tree from vertex 0: each edge down then back up,
+    children by edge index (the construction's tree case, written as a
+    depth-first search)."""
+    down = {v: [] for v in range(g.vertex_count)}
+    for i, (a, b) in enumerate(g.edges):
+        down[a].append((i, 0))
+        down[b].append((i, 1))
+    steps = []
+
+    def visit(v, entry):
+        for step in down[v]:
+            if entry is None or step[0] != entry[0]:
+                steps.append(step)
+                visit(step_head(g, step), step)
+                steps.append((step[0], 1 - step[1]))
+
+    if g.vertex_count:
+        visit(0, None)
+    return tuple(steps)
+
+
+def tree_certificate(g, tree):
+    tree = frozenset(tree)
+    co_tree = [i for i in range(g.edge_count) if i not in tree]
+    return SpanningTreeCertificate(
+        g, tree, components_with_parity(induced_edge_subgraph(g, co_tree))
+    )
+
+
+def parse_pairs(text, n):
+    return Graph(n, [tuple(map(int, p.split("-"))) for p in text.split()])
+
+
+def assert_antiparallel_strong(w):
+    assert validate_double_trace(w).ok
+    assert is_strong(w)
+    assert check_restriction(w, RestrictionSet.of(range(w.host.edge_count)))
 
 
 class TestEulerTour:
@@ -347,6 +412,91 @@ class TestAntiparallelStrongTrace:
         w2 = antiparallel_strong_trace(DIAMOND, ans.certificate)
         assert w1.steps == w2.steps
 
+    def test_never_reaches_the_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("construction called the search kernel")
+
+        monkeypatch.setattr(search_backend, "run", refuse)
+        ans = has_antiparallel_strong_trace(DIAMOND)
+        assert_antiparallel_strong(antiparallel_strong_trace(DIAMOND, ans.certificate))
+        w = build_E_restricted_strong_trace(K4, K4_STAR)
+        assert check_restriction(w, K4_STAR)
+
+    def test_tree_walk_matches_reference(self):
+        rng = random.Random(11)
+        for n in range(1, 7):
+            for edges in labeled_trees(n):
+                shuffled = [tuple(rng.sample(e, 2)) for e in edges]
+                rng.shuffle(shuffled)
+                for tree in (edges, shuffled):
+                    g = Graph(n, tree)
+                    w = antiparallel_strong_trace(g, tree_certificate(g, range(n - 1)))
+                    assert w.steps == tree_walk_reference(g), tree
+
+    @pytest.mark.parametrize("n", [9, 10, 13])
+    def test_complete_graph_star_tree(self, n):
+        # the star at vertex 0 leaves K_(n-1), whose edge count is even
+        g = complete_graph(n)
+        star = [i for i, e in enumerate(g.edges) if 0 in e]
+        w = antiparallel_strong_trace(g, tree_certificate(g, star))
+        assert_antiparallel_strong(w)
+
+    def test_seeded_tree_plus_pairs_sweep(self):
+        # co-tree edges arrive as edge-disjoint paths of two edges, so every
+        # co-tree component is even whatever the pairs share
+        rng = random.Random(2016)
+        sizes = []
+        while len(sizes) < 40:
+            n = rng.randint(8, 40)
+            target = rng.randint(20, 200)
+            order = list(range(n))
+            rng.shuffle(order)
+            edges = [(order[rng.randrange(k)], order[k]) for k in range(1, n)]
+            used = {frozenset(e) for e in edges}
+            for _ in range(20 * target):
+                if len(edges) + 2 > target:
+                    break
+                v, a, b = rng.sample(range(n), 3)
+                pair = [frozenset((v, a)), frozenset((v, b))]
+                if not used.isdisjoint(pair):
+                    continue
+                used.update(pair)
+                edges += [(v, a), (b, v)]
+            if len(edges) < 20:
+                continue
+            g = Graph(n, edges)
+            w = antiparallel_strong_trace(g, tree_certificate(g, range(n - 1)))
+            assert_antiparallel_strong(w)
+            sizes.append(g.edge_count)
+        assert min(sizes) >= 20 and max(sizes) > 150
+
+    def test_seeded_multigraph_loops_and_parallels(self):
+        rng = random.Random(1979)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            edges = [(rng.randrange(k), k) for k in range(1, n)]
+            for _ in range(rng.randint(1, 5)):
+                v, a, b = (rng.randrange(n) for _ in range(3))
+                edges += [(v, a), (b, v)]
+            g = Multigraph(n, edges)
+            w = antiparallel_strong_trace(g, tree_certificate(g, range(n - 1)))
+            assert validate_double_trace(w).ok
+            assert is_strong(w)
+            assert set(classify_directions(w)) == {ANTIPARALLEL}
+
+    def test_slow_kernel_draw_builds_fast(self):
+        # 10 vertices, 21 edges: the exhaustive kernel ran past 35 s on it
+        g = parse_pairs(
+            "7-4 6-0 8-0 4-5 3-1 8-9 4-6 5-7 1-6 4-9 7-8 5-6 9-3 7-2 7-6 "
+            "6-8 1-9 8-3 6-3 5-9 9-6",
+            10,
+        )
+        start = time.perf_counter()
+        ans = has_antiparallel_strong_trace(g)
+        w = antiparallel_strong_trace(g, ans.certificate)
+        assert time.perf_counter() - start < 1.0
+        assert_antiparallel_strong(w)
+
 
 class TestRepetitionsConfined:
     def check(self, g, witness):
@@ -389,6 +539,21 @@ class TestRestrictedStrongPipeline:
         assert validate_double_trace(w).ok
         assert is_strong(w)
         assert check_restriction(w, K4_STAR)
+
+    def test_slow_kernel_draw_builds_fast(self):
+        # 13 vertices, 22 edges: the kernel took 31 s on its quotient
+        g = parse_pairs(
+            "10-1 9-11 7-8 9-10 10-5 11-6 9-3 5-4 11-3 1-11 8-1 7-1 5-11 "
+            "3-0 12-11 12-1 4-12 7-3 9-7 10-7 2-9 11-4",
+            13,
+        )
+        r = RestrictionSet.of([3, 5, 7, 9, 13, 14, 17, 18, 19, 20])
+        start = time.perf_counter()
+        w = build_E_restricted_strong_trace(g, r)
+        assert time.perf_counter() - start < 1.0
+        assert validate_double_trace(w).ok
+        assert is_strong(w)
+        assert check_restriction(w, r)
 
     def test_empty_restriction_branch(self):
         w = build_E_restricted_strong_trace(C3, EMPTY)
