@@ -33,11 +33,10 @@ from .construction import (
 )
 from .enumeration import (
     TraceQuery,
-    canonical_form,
     enumerate_classes,
-    enumerate_fixed_start,
+    fixed_start_sequences,
+    fold_classes,
     oracle_find,
-    orbit_size,
 )
 from .errors import (
     CapacityError,
@@ -62,7 +61,7 @@ from .feasibility import (
     has_parallel_strong_trace,
     has_strong_trace,
 )
-from .graphs import Graph, Host, MixedGraph, Multigraph, automorphisms
+from .graphs import Graph, Host, MixedGraph, Multigraph
 from .traces import (
     ClosedWalk,
     DoubleTrace,
@@ -538,14 +537,15 @@ def _sweep_job(item):
         q = TraceQuery(g, require_strong=True, restriction=RestrictionSet.of(anti))
     else:
         q = TraceQuery(g, d=d, restriction=RestrictionSet.of(anti))
-    return [tuple(t.steps) for t in enumerate_fixed_start(q)]
+    return fixed_start_sequences(q)
 
 
 def _restriction_size_sweep(
     g: Graph, p: int, d: Optional[int], jobs: int
-) -> tuple[list[tuple[tuple[int, int], ...]], list[int]]:
-    """Canonical traces over every restriction of size p, deduplicated under
-    the full symmetry group (which permutes the restrictions themselves)."""
+) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """Classes (canonical trace, size) over every restriction of size p,
+    folded under the full symmetry group (which permutes the restrictions
+    themselves)."""
     if not (0 <= p <= g.edge_count):
         raise InputError(f"--p must be between 0 and {g.edge_count}")
     work = [
@@ -560,40 +560,28 @@ def _restriction_size_sweep(
             batches = pool.map(_sweep_job, work)
     else:
         batches = [_sweep_job(item) for item in work]
-    auts = automorphisms(g)
-    canon_set: set[tuple[tuple[int, int], ...]] = set()
-    for batch in batches:
-        for seq in batch:
-            canon_set.add(canonical_form(DoubleTrace(g, seq), auts))
-    reps = sorted(canon_set)
-    sizes = [orbit_size(DoubleTrace(g, rep), auts) for rep in reps]
-    return reps, sizes
+    return fold_classes(g, itertools.chain.from_iterable(batches))
 
 
 def _cmd_enumerate(args) -> int:
     host, file_r = _load_document(args.file)
     variant = _resolve_variant(args, host, file_r)
-    jobs = args.jobs
     if args.p is not None:
         if not isinstance(host, Graph):
             raise InputError("--p needs a simple graph")
         if variant not in ("strong", "dstable", "restricted"):
             raise InputError(f"--p fixes the direction sets; drop --variant {variant}")
-        reps, sizes = _restriction_size_sweep(host, args.p, args.d, jobs)
+        classes = _restriction_size_sweep(host, args.p, args.d, args.jobs)
     elif isinstance(host, Graph):
         query = _query_for(host, variant, args.d, file_r)
-        classes = enumerate_classes(query)
-        reps = [c.canonical for c in classes]
-        sizes = [c.size for c in classes]
+        classes = [(c.canonical, c.size) for c in enumerate_classes(query)]
     else:
         if args.classes:
             raise InputError("--classes needs a simple graph")
         query = _query_for(host, variant, args.d, file_r)
-        ident = (tuple(range(host.vertex_count)),)
-        reps = sorted(
-            {canonical_form(t, ident) for t in enumerate_fixed_start(query)}
-        )
-        sizes = [orbit_size(DoubleTrace(host, rep), ident) for rep in reps]
+        classes = fold_classes(host, fixed_start_sequences(query))
+    reps = [rep for rep, _ in classes]
+    sizes = [size for _, size in classes]
     doc = {
         "count": len(reps),
         "p": args.p,

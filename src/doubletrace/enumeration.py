@@ -10,6 +10,7 @@ an answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from . import search_backend
 from .errors import CapacityError, InputError
@@ -18,6 +19,8 @@ from .traces import ClosedWalk, DoubleTrace, RestrictionSet, Step
 
 ORACLE_EXISTS_MAX_EDGES = 10
 ORACLE_ENUM_MAX_EDGES = 9
+
+Codes = bytes | tuple[int, ...]  # steps coded 2e + f; bytes while codes fit
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,75 +113,113 @@ def count_raw_traces(query: TraceQuery, *, max_edges: int | None = None) -> int:
     )
 
 
+def fixed_start_sequences(
+    query: TraceQuery, *, max_edges: int | None = None
+) -> list[tuple[Step, ...]]:
+    """Step sequences of all satisfying traces whose first step is on edge 0:
+    every class appears, and the other raw sequences follow by symmetry."""
+    _gate(query, ORACLE_ENUM_MAX_EDGES, max_edges)
+    host = query.host
+    if not is_connected(host):
+        return []
+    if host.edge_count == 0:
+        return [()]
+    n, ea, eb, labels = lower_query(query)
+    return search_backend.run(
+        n, ea, eb, labels, query.require_strong, query.d, search_backend.MODE_ENUM_FIXED
+    )
+
+
 def enumerate_fixed_start(
     query: TraceQuery, *, max_edges: int | None = None
 ) -> list[DoubleTrace]:
-    """All satisfying traces whose first step is normalized to edge 0.
-
-    Every equivalence class is represented at least once; raw sequences
-    with other first steps are recovered by symmetry.
-    """
-    _gate(query, ORACLE_ENUM_MAX_EDGES, max_edges)
-    host = query.host
-    if host.edge_count == 0:
-        return [DoubleTrace(host, ())] if is_connected(host) else []
-    if not is_connected(host):
-        return []
-    n, ea, eb, labels = lower_query(query)
-    seqs = search_backend.run(
-        n, ea, eb, labels, query.require_strong, query.d, search_backend.MODE_ENUM_FIXED
-    )
-    return [DoubleTrace(host, tuple(s)) for s in seqs]
+    """The traces of fixed_start_sequences."""
+    return [DoubleTrace(query.host, s) for s in fixed_start_sequences(query, max_edges=max_edges)]
 
 
-def _map_sequence(
-    host: Host,
-    steps: tuple[Step, ...],
-    perm: tuple[int, ...],
-    edge_lookup: dict[frozenset[int], int],
-) -> tuple[Step, ...]:
-    """Relabel a step sequence along a vertex permutation.
-
-    Identity permutations short-circuit, so hosts with parallel edges can
-    still be folded over rotations and reversal alone.
-    """
-    if all(perm[v] == v for v in range(len(perm))):
-        return steps
-    out = []
-    for e, f in steps:
-        a, b = host.endpoints(e)
-        if a == b:
-            out.append((edge_lookup[frozenset((perm[a],))], f))
+def _step_tables(host: Host, auts: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """Per relabeling, the image of every step code ``2e + f``.  The identity
+    needs no edge lookup, so it alone applies to parallel edges and loops."""
+    m = host.edge_count
+    lookup = {tuple(sorted(host.endpoints(i))): i for i in range(m)}
+    tables = []
+    for perm in auts:
+        if all(perm[v] == v for v in range(len(perm))):
+            tables.append(list(range(2 * m)))
             continue
-        ia, ib = perm[a], perm[b]
-        e2 = edge_lookup[frozenset((ia, ib))]
-        tail = ia if f == 0 else ib
-        a2, b2 = host.endpoints(e2)
-        out.append((e2, 0 if tail == a2 else 1))
-    return tuple(out)
+        if len(lookup) < m:
+            raise InputError("only the identity relabels parallel edges or repeated loops")
+        table = []
+        for i in range(m):
+            a, b = host.endpoints(i)
+            j = lookup.get(tuple(sorted((perm[a], perm[b]))))
+            if j is None:
+                raise InputError(f"relabeling {perm} is not an automorphism of the host")
+            f = 0 if host.endpoints(j)[0] == perm[a] else 1
+            table += (2 * j + f, 2 * j + 1 - f)
+        tables.append(table)
+    return tables
 
 
-def _symmetry_orbit(
+def _least_rotation(seq: Codes) -> Codes:
+    # it starts at the least code, which a double trace holds at most twice
+    low = min(seq, default=0)
+    return min((seq[i:] + seq[:i] for i, c in enumerate(seq) if c == low), default=seq)
+
+
+def _period(seq: Codes) -> int:
+    n = len(seq)
+    return next((p for p in range(1, n) if n % p == 0 and seq[p:] + seq[:p] == seq), n or 1)
+
+
+def _orbit_images(
+    tables: list[list[int]], codes: Codes, reversal: bool
+) -> list[Codes]:
+    """The sequence under every relabeling, and reversed when allowed."""
+    pack = type(codes)
+    images = []
+    for table in tables:
+        image = pack([table[c] for c in codes])
+        images.append(image)
+        if reversal:
+            images.append(pack([c ^ 1 for c in reversed(image)]))
+    return images
+
+
+def fold_classes(
     host: Host,
-    steps: tuple[Step, ...],
-    auts: tuple[tuple[int, ...], ...],
-    use_reversal: bool,
-) -> set[tuple[Step, ...]]:
-    edge_lookup = {
-        frozenset(host.endpoints(i)): i for i in range(host.edge_count)
-    }
-    length = len(steps)
-    base = [steps]
-    if use_reversal:
-        rev = tuple((e, 1 - f) for e, f in reversed(steps))
-        base.append(rev)
-    orbit: set[tuple[Step, ...]] = set()
-    for seq in base:
-        for perm in auts:
-            mapped = _map_sequence(host, seq, perm, edge_lookup)
-            for k in range(length):
-                orbit.add(mapped[k:] + mapped[:k])
-    return orbit
+    sequences: Iterable[Sequence[Step]],
+    auts: tuple[tuple[int, ...], ...] | None = None,
+) -> list[tuple[tuple[Step, ...], int]]:
+    """Symmetry classes among step sequences: (canonical form, size), sorted.
+
+    Folds as canonical_form does, on codes ``2e + f`` (ordered like
+    ``(e, f)``).  Sizes come from orbit-stabilizer: distinct least rotations
+    among the images times the rotation period.  Orbit work is done once per
+    class; its members that start with edge 0 are then one lookup away.
+    """
+    if auts is None:
+        simple = isinstance(host, Graph)
+        auts = automorphisms(host) if simple else (tuple(range(host.vertex_count)),)
+    tables = _step_tables(host, auts)
+    reversal = not any(host.is_arc(i) for i in range(host.edge_count))
+    sizes: dict[Codes, int] = {}
+    covered: set[Codes] = set()
+    # bytes order like tuples of codes below 256 and take a third the memory
+    pack = bytes if host.edge_count <= 128 else tuple
+    for steps in sequences:
+        codes = pack([2 * e + f for e, f in steps])
+        if codes in covered:
+            continue
+        images = _orbit_images(tables, codes, reversal)
+        least = {_least_rotation(image) for image in images}
+        canon = min(least)
+        if canon in sizes:
+            continue
+        sizes[canon] = len(least) * _period(canon)
+        for image in images:
+            covered.update(image[i:] + image[:i] for i, c in enumerate(image) if c < 2)
+    return [(tuple((c >> 1, c & 1) for c in canon), sizes[canon]) for canon in sorted(sizes)]
 
 
 def canonical_form(
@@ -190,17 +231,7 @@ def canonical_form(
     require the automorphism group, which is computed for simple hosts when
     not supplied; pass ``auts=((identity),)`` to fold rotations alone.
     """
-    steps = tuple(walk.steps)
-    if not steps:
-        return steps
-    host = walk.host
-    if auts is None:
-        if isinstance(host, Graph):
-            auts = automorphisms(host)
-        else:
-            auts = (tuple(range(host.vertex_count)),)
-    use_reversal = not any(host.is_arc(i) for i in range(host.edge_count))
-    return min(_symmetry_orbit(host, steps, auts, use_reversal))
+    return fold_classes(walk.host, [walk.steps], auts)[0][0]
 
 
 def orbit_size(
@@ -211,33 +242,7 @@ def orbit_size(
     Defaults match canonical_form: rotations always, reversal on arc-free
     hosts, relabelings over the supplied (or computed) automorphisms.
     """
-    steps = tuple(walk.steps)
-    if not steps:
-        return 1
-    host = walk.host
-    if auts is None:
-        if isinstance(host, Graph):
-            auts = automorphisms(host)
-        else:
-            auts = (tuple(range(host.vertex_count)),)
-    use_reversal = not any(host.is_arc(i) for i in range(host.edge_count))
-    return len(_symmetry_orbit(host, steps, auts, use_reversal))
-
-
-def _restriction_preserving(
-    host: Host,
-    auts: tuple[tuple[int, ...], ...],
-    anti: frozenset[int],
-) -> tuple[tuple[int, ...], ...]:
-    lookup = {frozenset(host.endpoints(i)): i for i in range(host.edge_count)}
-    kept = []
-    for perm in auts:
-        image = {
-            lookup[frozenset(perm[v] for v in host.endpoints(i))] for i in anti
-        }
-        if image == set(anti):
-            kept.append(perm)
-    return tuple(kept)
+    return fold_classes(walk.host, [walk.steps], auts)[0][1]
 
 
 @dataclass(frozen=True)
@@ -261,20 +266,14 @@ def enumerate_classes(
     host = query.host
     if not isinstance(host, Graph):
         raise InputError("class enumeration expects a simple undirected host")
-    traces = enumerate_fixed_start(query, max_edges=max_edges)
+    sequences = fixed_start_sequences(query, max_edges=max_edges)
     auts = automorphisms(host)
     if query.restriction is not None:
         # only relabelings that fix the restricted edge set are symmetries
-        auts = _restriction_preserving(host, auts, query.restriction.antiparallel_edges)
-    seen: dict[tuple[Step, ...], EquivalenceClass] = {}
-    for tr in traces:
-        steps = tuple(tr.steps)
-        if not steps:
-            seen[steps] = EquivalenceClass(steps, 1, tr)
-            continue
-        canon = canonical_form(tr, auts)
-        if canon in seen:
-            continue
-        orbit = _symmetry_orbit(host, steps, auts, use_reversal=True)
-        seen[canon] = EquivalenceClass(canon, len(orbit), DoubleTrace(host, canon))
-    return [seen[c] for c in sorted(seen)]
+        anti = query.restriction.antiparallel_edges
+        images = zip(auts, _step_tables(host, auts))
+        auts = tuple(p for p, t in images if {t[2 * i] >> 1 for i in anti} == anti)
+    return [
+        EquivalenceClass(canon, size, DoubleTrace(host, canon))
+        for canon, size in fold_classes(host, sequences, auts)
+    ]

@@ -24,6 +24,9 @@ GOLDEN = Path(__file__).parent / "golden"
 C3_TEXT = "n 3\ne 0 1\ne 1 2\ne 2 0\n"
 K4_TEXT = "n 4 simple\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n"
 K4_STAR_TEXT = K4_TEXT + "E 0 1 2\n"
+PRISM_TEXT = "n 6\ne 0 1\ne 1 2\ne 2 0\ne 3 4\ne 4 5\ne 5 3\ne 0 3\ne 1 4\ne 2 5\n"
+LOOP_TEXT = "n 3 multi\ne 0 1\ne 1 2\ne 2 0\ne 0 0\n"
+MIXED_TEXT = "n 4 mixed\ne 0 1\ne 1 2\ne 2 3\ne 3 0\ne 0 2\na 1 3\nE 0 2\n"
 
 
 def write(tmp_path, name, text):
@@ -464,6 +467,25 @@ class TestEnumerate:
         )
         assert out1 == out2
 
+    def test_jobs_default_read_on_every_call(self, tmp_path, capsys, monkeypatch):
+        # DOUBLETRACE_JOBS is read on every call, so a process that changes
+        # it between calls gets the new value; --jobs overrides it
+        seen = []
+
+        def sweep(g, p, d, jobs):
+            seen.append(jobs)
+            return []
+
+        monkeypatch.setattr(cli, "_restriction_size_sweep", sweep)
+        path = write(tmp_path, "k4.g", K4_TEXT)
+        for value in ("3", "1", "2"):
+            monkeypatch.setenv("DOUBLETRACE_JOBS", value)
+            run_cli(capsys, "enumerate", path, "--p", "1")
+        monkeypatch.delenv("DOUBLETRACE_JOBS")
+        run_cli(capsys, "enumerate", path, "--p", "1")
+        run_cli(capsys, "enumerate", path, "--p", "1", "--jobs", "4")
+        assert seen == [3, 1, 2, 1, 4]
+
     def test_p_conflicts_with_direction_variants(self, tmp_path, capsys):
         path = write(tmp_path, "k4.g", K4_TEXT)
         code, _, err = run_cli(
@@ -510,6 +532,17 @@ class TestGolden:
             ("cli_k4_star_construct.json", K4_STAR_TEXT, ("construct",)),
             ("cli_k4_strong_construct.json", K4_TEXT, ("construct",)),
             ("cli_c3_parallel_construct.json", C3_TEXT, ("construct", "--variant", "parallel")),
+            ("cli_k4_enumerate_classes.json", K4_TEXT, ("enumerate", "--classes")),
+            (
+                "cli_k4_star_enumerate_restricted_classes.json",
+                K4_STAR_TEXT,
+                ("enumerate", "--classes", "--variant", "restricted"),
+            ),
+            ("cli_prism_enumerate_p2.json", PRISM_TEXT, ("enumerate", "--p", "2")),
+            ("cli_prism_enumerate_p3_classes.json", PRISM_TEXT, ("enumerate", "--p", "3", "--classes")),
+            ("cli_prism_enumerate_p4.json", PRISM_TEXT, ("enumerate", "--p", "4")),
+            ("cli_loop_multigraph_enumerate.json", LOOP_TEXT, ("enumerate",)),
+            ("cli_mixed_enumerate.json", MIXED_TEXT, ("enumerate",)),
         ],
     )
     def test_byte_stable(self, tmp_path, capsys, name, text, argv):

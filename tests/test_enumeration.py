@@ -1,9 +1,11 @@
 """Exhaustive oracle: existence, raw counts, equivalence classes."""
 
+import itertools
 import random
 
 import pytest
 
+from doubletrace import cli, enumeration
 from doubletrace.enumeration import (
     ORACLE_ENUM_MAX_EDGES,
     ORACLE_EXISTS_MAX_EDGES,
@@ -12,8 +14,10 @@ from doubletrace.enumeration import (
     count_raw_traces,
     enumerate_classes,
     enumerate_fixed_start,
+    fold_classes,
     oracle_exists,
     oracle_find,
+    orbit_size,
 )
 from doubletrace.errors import CapacityError, InputError
 from doubletrace.graphs import (
@@ -195,6 +199,189 @@ class TestEquivalenceClasses:
     def test_multigraph_hosts_rejected(self):
         with pytest.raises(InputError):
             enumerate_classes(TraceQuery(LOOP))
+
+
+def reference_orbit(host, steps, auts, use_reversal):
+    """Reference for fold_classes: the whole orbit as a set, that is every
+    rotation of every relabeled (and reversed) copy of the steps."""
+    lookup = {frozenset(host.endpoints(i)): i for i in range(host.edge_count)}
+
+    def relabel(seq, perm):
+        if all(perm[v] == v for v in range(len(perm))):
+            return seq
+        out = []
+        for e, f in seq:
+            a, b = host.endpoints(e)
+            if a == b:
+                out.append((lookup[frozenset((perm[a],))], f))
+                continue
+            e2 = lookup[frozenset((perm[a], perm[b]))]
+            tail = perm[a] if f == 0 else perm[b]
+            out.append((e2, 0 if tail == host.endpoints(e2)[0] else 1))
+        return tuple(out)
+
+    base = [tuple(steps)]
+    if use_reversal:
+        base.append(tuple((e, 1 - f) for e, f in reversed(steps)))
+    orbit = set()
+    for seq in base:
+        for perm in auts:
+            mapped = relabel(seq, perm)
+            orbit.update(mapped[k:] + mapped[:k] for k in range(len(mapped)))
+    return orbit
+
+
+def reference_classes(host, traces, auts):
+    """(canonical form, size) per class, least first, from whole orbits."""
+    use_reversal = not any(host.is_arc(i) for i in range(host.edge_count))
+    sizes = {}
+    for tr in traces:
+        orbit = reference_orbit(host, tr.steps, auts, use_reversal) or {()}
+        sizes.setdefault(min(orbit), len(orbit))
+    return [(c, sizes[c]) for c in sorted(sizes)]
+
+
+def reference_preserving(host, auts, anti):
+    lookup = {frozenset(host.endpoints(i)): i for i in range(host.edge_count)}
+    return tuple(
+        p for p in auts
+        if {lookup[frozenset(p[v] for v in host.endpoints(i))] for i in anti} == set(anti)
+    )
+
+
+def random_connected_graph(rng):
+    n = rng.randint(3, 6)
+    m = rng.randint(n, min(9, n * (n - 1) // 2))
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {frozenset((order[i], order[rng.randrange(i)])) for i in range(1, n)}
+    pairs = [frozenset((u, v)) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    edges.update(pairs[: m - len(edges)])
+    listed = [tuple(sorted(e)) for e in edges]
+    rng.shuffle(listed)
+    return Graph(n, [(b, a) if rng.random() < 0.5 else (a, b) for a, b in listed])
+
+
+class TestFoldMatchesOrbitSets:
+    """fold_classes against whole orbit sets: same forms, sizes and order."""
+
+    def queries(self):
+        rng = random.Random(2024)
+        for _ in range(40):
+            g = random_connected_graph(rng)
+            yield TraceQuery(g, require_strong=True)
+            yield TraceQuery(g, d=1)
+            anti = rng.sample(range(g.edge_count), rng.randint(1, g.edge_count))
+            yield TraceQuery(g, require_strong=True, restriction=RestrictionSet.of(anti))
+
+    def test_classes_on_seeded_graphs(self):
+        checked = 0
+        for q in self.queries():
+            traces = enumerate_fixed_start(q)
+            auts = automorphisms(q.host)
+            if q.restriction is not None:
+                auts = reference_preserving(q.host, auts, q.restriction.antiparallel_edges)
+            got = [(c.canonical, c.size) for c in enumerate_classes(q)]
+            assert got == reference_classes(q.host, traces, auts)
+            checked += len(traces)
+        assert checked > 1000
+
+    def test_wrappers_per_trace(self):
+        rng = random.Random(5)
+        for q in list(self.queries())[::7]:
+            auts = automorphisms(q.host)
+            traces = enumerate_fixed_start(q)
+            for tr in rng.sample(traces, min(20, len(traces))):
+                orbit = reference_orbit(q.host, tr.steps, auts, True)
+                assert canonical_form(tr) == min(orbit)
+                assert orbit_size(tr) == len(orbit)
+
+    @pytest.mark.parametrize(
+        "host, auts",
+        [
+            (LOOP, None),
+            (Multigraph(2, [(0, 1), (0, 1), (1, 1)]), None),
+            (Multigraph(3, [(0, 1), (1, 2), (0, 0), (2, 2)]), automorphisms(path_graph(3))),
+            (MixedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], [(1, 3)]), None),
+            (MixedGraph(3, [(0, 1), (1, 2)], [(2, 0)]), None),
+        ],
+    )
+    def test_multigraph_and_mixed_hosts(self, host, auts):
+        ident = (tuple(range(host.vertex_count)),)
+        assert oracle_exists(TraceQuery(host))
+        for q in (TraceQuery(host), TraceQuery(host, require_strong=True)):
+            traces = enumerate_fixed_start(q)
+            expected = reference_classes(host, traces, auts or ident)
+            assert fold_classes(host, (t.steps for t in traces), auts) == expected
+
+    def test_empty_trace(self):
+        w = DoubleTrace(Graph(1, []), ())
+        assert canonical_form(w) == ()
+        assert orbit_size(w) == 1
+        assert fold_classes(w.host, [()]) == [((), 1)]
+
+
+class TestFoldRejectsAmbiguousRelabelings:
+    PARALLEL = Multigraph(2, [(0, 1), (0, 1)])
+    SWAP = ((0, 1), (1, 0))
+
+    def test_parallel_edges(self):
+        # the two parallel edges have no defined images under the swap;
+        # an edge lookup would send both to one edge and fold in
+        # sequences that use it four times
+        w = DoubleTrace(self.PARALLEL, ((0, 0), (1, 1), (0, 0), (1, 1)))
+        assert validate_double_trace(w).ok
+        with pytest.raises(InputError):
+            orbit_size(w, self.SWAP)
+        with pytest.raises(InputError):
+            canonical_form(w, self.SWAP)
+
+    def test_repeated_loops(self):
+        host = Multigraph(2, [(0, 1), (0, 0), (0, 0), (1, 1), (1, 1)])
+        w = oracle_find(TraceQuery(host))
+        with pytest.raises(InputError):
+            canonical_form(w, self.SWAP)
+
+    def test_identity_still_folds_rotations_and_reversal(self):
+        w = DoubleTrace(self.PARALLEL, ((0, 0), (1, 1), (0, 0), (1, 1)))
+        ident = (self.SWAP[0],)
+        assert orbit_size(w, ident) == len(reference_orbit(self.PARALLEL, w.steps, ident, True))
+
+    def test_non_automorphism(self):
+        with pytest.raises(InputError):
+            canonical_form(oracle_find(TraceQuery(path_graph(3))), ((1, 0, 2),))
+
+
+class TestOrbitWorkOncePerClass:
+    """Orbit work runs once per class; later members are one set lookup."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = []
+        images = enumeration._orbit_images
+
+        def spy(*args):
+            count.append(1)
+            return images(*args)
+
+        monkeypatch.setattr(enumeration, "_orbit_images", spy)
+        return count
+
+    def test_enumerate_classes(self, calls):
+        q = TraceQuery(K4, require_strong=True)
+        classes = enumerate_classes(q)
+        assert len(enumerate_fixed_start(q)) > 10 * len(classes)
+        assert len(calls) == len(classes)
+
+    def test_restriction_size_sweep(self, calls):
+        prism = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                          (0, 3), (1, 4), (2, 5)])
+        classes = cli._restriction_size_sweep(prism, 3, None, 1)
+        traced = sum(len(cli._sweep_job((prism, frozenset(c), None)))
+                     for c in itertools.combinations(range(9), 3))
+        assert traced > 10 * len(classes)
+        assert len(calls) == len(classes)
 
 
 class TestCapacity:
