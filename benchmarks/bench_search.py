@@ -1,4 +1,4 @@
-"""Compare the pure-Python and compiled search kernels on shared workloads.
+"""Time the exhaustive search kernel on fixed workloads.
 
 Run from the repository root:
 
@@ -11,14 +11,7 @@ import time
 
 from doubletrace import search_backend
 from doubletrace.graphs import Graph, complete_graph, cycle_graph
-from doubletrace.search_backend import (
-    ANTI,
-    FREE,
-    MODE_COUNT_RAW,
-    MODE_EXISTS,
-    PAR,
-    run_with,
-)
+from doubletrace.search_backend import ANTI, FREE, MODE_COUNT_RAW, MODE_EXISTS, PAR
 
 
 def lower(g):
@@ -56,13 +49,13 @@ CASES = [
 ]
 
 
-def bench(backend, g, labels, kw, repeat):
+def bench(g, labels, kw, repeat):
     n, ea, eb = lower(g)
     times = []
     result = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        result = run_with(backend, n, ea, eb, list(labels), **kw)
+        result = search_backend.run(n, ea, eb, list(labels), **kw)
         times.append(time.perf_counter() - t0)
     return statistics.median(times), result
 
@@ -80,21 +73,10 @@ def main():
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    if search_backend.BACKEND != "compiled":
-        print("compiled backend unavailable; timing python only")
-    print(f"{'case':<28} {'python':>10} {'compiled':>10} {'speedup':>8}  result")
+    print(f"{'case':<28} {'median':>10}  result")
     for name, g, labels, kw in CASES:
-        t_py, r_py = bench("python", g, labels, kw, args.repeat)
-        if search_backend.BACKEND == "compiled":
-            t_cy, r_cy = bench("compiled", g, labels, kw, args.repeat)
-            if r_py != r_cy:
-                raise SystemExit(f"backend disagreement on {name!r}")
-            print(
-                f"{name:<28} {t_py * 1e3:>8.1f}ms {t_cy * 1e3:>8.1f}ms "
-                f"{t_py / t_cy:>7.1f}x  {summarize(r_py)}"
-            )
-        else:
-            print(f"{name:<28} {t_py * 1e3:>8.1f}ms {'-':>10} {'-':>8}  {summarize(r_py)}")
+        t, result = bench(g, labels, kw, args.repeat)
+        print(f"{name:<28} {t * 1e3:>8.1f}ms  {summarize(result)}")
 
 
 if __name__ == "__main__":

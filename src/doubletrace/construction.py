@@ -6,7 +6,7 @@ Xuong's pair insertion for antiparallel strong traces, a split-and-project
 construction for antiparallel traces with confined repetitions, and the
 full contract/cut/lift/merge/repair pipeline for restricted strong traces.
 All of these are polynomial; only d-stable traces certified by a
-high-degree vertex alone fall back to the exhaustive search kernel.
+high-degree vertex alone fall back to the oracle search.
 Every operation is a deterministic function of its inputs, so repeated runs
 reproduce the same step sequences byte for byte.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from . import search_backend
+from .enumeration import TraceQuery, oracle_find
 from .errors import (
     InputError,
     InternalConsistencyError,
@@ -864,23 +864,6 @@ def build_E_restricted_strong_trace(g: Graph, r: RestrictionSet) -> DoubleTrace:
     )
 
 
-def _search_restricted_trace(
-    host: Host, labels: Sequence[int], d_max: int
-) -> Optional[tuple[Step, ...]]:
-    ends = [host.endpoints(i) for i in range(host.edge_count)]
-    found = search_backend.run(
-        host.vertex_count,
-        [a for a, _ in ends],
-        [b for _, b in ends],
-        list(labels),
-        d_max=d_max,
-        mode=search_backend.MODE_EXISTS,
-    )
-    if found is None:
-        return None
-    return tuple((k, f) for k, f in found)
-
-
 def build_E_restricted_d_stable_trace(
     g: Graph, r: RestrictionSet, d: int
 ) -> DoubleTrace:
@@ -889,7 +872,7 @@ def build_E_restricted_d_stable_trace(
     When every odd co-tree component of the certificate holds a contracted
     vertex, the strong pipeline applies and its output is automatically
     d-stable thanks to the minimum-degree gate.  Components certified only
-    by a high-degree vertex fall back to exhaustive search.
+    by a high-degree vertex fall back to the oracle search, ungated.
     """
     answer = has_E_restricted_d_stable_trace(g, r, d)
     if not answer:
@@ -899,18 +882,13 @@ def build_E_restricted_d_stable_trace(
     analysis = _restricted_analysis(g, r)
     if answer.certificate.revalidate(analysis.witness_on_simplified()):
         return build_E_restricted_strong_trace(g, r)
-    restricted = frozenset(r.antiparallel_edges)
-    labels = [
-        search_backend.ANTI if i in restricted else search_backend.PAR
-        for i in range(g.edge_count)
-    ]
-    steps = _search_restricted_trace(g, labels, d)
-    if steps is None:
+    w = oracle_find(TraceQuery(g, d=d, restriction=r), max_edges=g.edge_count)
+    if w is None:
         raise InternalConsistencyError(
             f"certified graph admitted no {d}-stable restricted trace: "
-            f"edges {g.edges!r}, restriction {sorted(restricted)!r}"
+            f"edges {g.edges!r}, restriction {sorted(r.antiparallel_edges)!r}"
         )
-    return DoubleTrace(g, steps)
+    return w
 
 
 def build_mixed_trace(
@@ -945,18 +923,14 @@ def build_mixed_trace(
         limit = cmap.quotient.vertex_count
         wit = frozenset(cmap.eprime_vertices)
         if not cert.revalidate(lambda v: v < limit and v in wit):
-            labels = [
-                search_backend.ANTI if i in restricted else search_backend.PAR
-                for i in range(und)
-            ] + [search_backend.ARC] * len(b.arcs)
-            steps = _search_restricted_trace(b, labels, d)
-            if steps is None:
+            w = oracle_find(TraceQuery(b, d=d, restriction=r), max_edges=b.edge_count)
+            if w is None:
                 raise InternalConsistencyError(
                     f"certified mixed graph admitted no {d}-stable trace: "
                     f"edges {b.edges!r}, arcs {b.arcs!r}, "
                     f"restriction {sorted(restricted)!r}"
                 )
-            return DoubleTrace(b, steps)
+            return w
 
     if not fragment:
         return _lift_pure_quotient(b, cmap, simp, cert)

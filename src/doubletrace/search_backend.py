@@ -1,38 +1,283 @@
-"""Selects the compiled search kernel when available, pure Python otherwise."""
+"""Exhaustive direction-constrained double-trace search, pure Python.
+
+The search kernel behind the oracle and enumeration; ``enumeration.lower_query``
+turns a query into its arrays.  The search enumerates closed walks that
+traverse every edge exactly twice subject to per-edge direction labels, an
+optional no-nontrivial-repetition requirement and an optional minimum
+repetition order.
+
+Pruning rules (all sound: none can cut a satisfying walk):
+* per-vertex arrival-count bounds from already-fixed edge directions,
+* a static arrival parity check for vertices with no free non-loop edges,
+* frozen transition components: a component of the link structure at a
+  vertex whose edges are fully used can never merge with anything later, so
+  an undersized or non-spanning one kills the branch.
+
+Edge labels: 0 free, 1 parallel (same direction twice), 2 antiparallel,
+3 arc (both traversals in the stored direction).
+"""
 
 from __future__ import annotations
 
-from . import _search_py
+FREE, PAR, ANTI, ARC = 0, 1, 2, 3
 
-try:  # compiled twin, built by setup.py when a C toolchain is present
-    from . import _search as _impl  # type: ignore[attr-defined]
+MODE_EXISTS = 0
+MODE_COUNT_RAW = 1
+MODE_ENUM_FIXED = 2
 
-    BACKEND = "compiled"
-except ImportError:  # pragma: no cover - depends on build environment
-    _impl = _search_py
-    BACKEND = "python"
-
-FREE = _search_py.FREE
-PAR = _search_py.PAR
-ANTI = _search_py.ANTI
-ARC = _search_py.ARC
-MODE_EXISTS = _search_py.MODE_EXISTS
-MODE_COUNT_RAW = _search_py.MODE_COUNT_RAW
-MODE_ENUM_FIXED = _search_py.MODE_ENUM_FIXED
+BACKEND = "python"
 
 
-def run(n, ea, eb, labels, require_strong=False, d_max=0, mode=MODE_EXISTS):
-    return _impl.run(n, ea, eb, labels, require_strong, d_max, mode)
+def _negative(mode: int):
+    if mode == MODE_COUNT_RAW:
+        return 0
+    if mode == MODE_ENUM_FIXED:
+        return []
+    return None
 
 
-def run_with(backend: str, n, ea, eb, labels, require_strong=False, d_max=0, mode=MODE_EXISTS):
-    """Force a specific backend; used by equivalence tests and benchmarks."""
-    if backend == "python":
-        chosen = _search_py
-    elif backend == "compiled":
-        if BACKEND != "compiled":
-            raise RuntimeError("compiled search kernel is not available")
-        chosen = _impl
+def run(
+    n: int,
+    ea: list[int],
+    eb: list[int],
+    labels: list[int],
+    require_strong: bool = False,
+    d_max: int = 0,
+    mode: int = MODE_EXISTS,
+):
+    """Search for double traces of the labeled host.
+
+    Returns a step list or None (exists mode), a raw sequence count, or the
+    list of all satisfying sequences whose first step is normalized to the
+    lowest edge (enumerate mode).
+    """
+    m = len(ea)
+    if m == 0:
+        if mode == MODE_COUNT_RAW:
+            return 0
+        if mode == MODE_ENUM_FIXED:
+            return []
+        return []  # the empty trace
+
+    L = 2 * m
+    incident: list[list[int]] = [[] for _ in range(n)]
+    deg = [0] * n
+    for i in range(m):
+        incident[ea[i]].append(i)
+        deg[ea[i]] += 1
+        deg[eb[i]] += 1
+        if eb[i] != ea[i]:
+            incident[eb[i]].append(i)
+    inc_count = [len(incident[v]) for v in range(n)]
+
+    # Arrival-count bounds per vertex.  Final arrivals at v equal deg[v];
+    # each non-loop edge end contributes bounds by label, loops always 2.
+    lo_in = [0] * n
+    hi_in = [0] * n
+    anti_ends = [0] * n
+    free_ends = [0] * n
+    for i in range(m):
+        a, b, lbl = ea[i], eb[i], labels[i]
+        if a == b:
+            lo_in[a] += 2
+            hi_in[a] += 2
+            continue
+        if lbl == ARC:
+            lo_in[b] += 2
+            hi_in[b] += 2
+        elif lbl == ANTI:
+            lo_in[a] += 1
+            hi_in[a] += 1
+            lo_in[b] += 1
+            hi_in[b] += 1
+            anti_ends[a] += 1
+            anti_ends[b] += 1
+        else:  # FREE or PAR
+            hi_in[a] += 2
+            hi_in[b] += 2
+            if lbl == FREE:
+                free_ends[a] += 1
+                free_ends[b] += 1
+
+    for v in range(n):
+        if not (lo_in[v] <= deg[v] <= hi_in[v]):
+            return _negative(mode)
+        if free_ends[v] == 0 and (anti_ends[v] - deg[v]) % 2 != 0:
+            # without free edges the arrival parity at v is fixed
+            return _negative(mode)
+
+    use = [0] * m
+    fflag = [0] * m
+    rem = [2 * deg[v] for v in range(n)]
+    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    steps: list[tuple[int, int]] = []
+    check_local = require_strong or d_max > 0
+
+    found_steps: list[list[tuple[int, int]]] = []
+    count = [0]
+
+    def vertex_ok(v: int) -> bool:
+        """Frozen-component test on the current links at v."""
+        lk = links[v]
+        parent: dict[int, int] = {}
+        for x, y in lk:
+            parent.setdefault(x, x)
+            parent.setdefault(y, y)
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for x, y in lk:
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[rx] = ry
+        sizes: dict[int, int] = {}
+        frozen: dict[int, bool] = {}
+        for x in parent:
+            r = find(x)
+            sizes[r] = sizes.get(r, 0) + 1
+            if use[x] != 2:
+                frozen[r] = False
+            elif r not in frozen:
+                frozen[r] = True
+        for r, size in sizes.items():
+            if frozen.get(r, False):
+                if require_strong and size < inc_count[v]:
+                    return False
+                if 0 < d_max and size <= d_max:
+                    return False
+        return True
+
+    def accept(start: int, first_edge: int, prev_edge: int) -> bool:
+        """Close the cyclic link at the start vertex and test it."""
+        links[start].append((prev_edge, first_edge))
+        ok = vertex_ok(start)
+        links[start].pop()
+        return ok
+
+    def edge_delta(u_count: int, lbl: int) -> int:
+        """Arrival-bound shift committed by this use, 0 if none."""
+        if u_count == 0 and lbl == PAR:
+            return 2
+        if lbl == FREE:
+            return 1
+        return 0
+
+    def extend(pos: int, depth: int, prev_edge: int, start: int, first_edge: int) -> bool:
+        """Depth-first extension; returns True to stop the whole search."""
+        if depth == L:
+            if pos != start:
+                return False
+            if check_local and not accept(start, first_edge, prev_edge):
+                return False
+            if mode == MODE_COUNT_RAW:
+                count[0] += 1
+                return False
+            found_steps.append(list(steps))
+            return mode == MODE_EXISTS
+        for e in incident[pos]:
+            u = use[e]
+            if u == 2:
+                continue
+            lbl = labels[e]
+            a, b = ea[e], eb[e]
+            if a == b:
+                flag_choices = (0, 1)
+            else:
+                flag_choices = ((0 if pos == a else 1),)
+            for f in flag_choices:
+                if lbl == ARC and f != 0:
+                    continue
+                if u == 1:
+                    if lbl == PAR and f != fflag[e]:
+                        continue
+                    if lbl == ANTI and f == fflag[e]:
+                        continue
+                    if check_local and prev_edge == e:
+                        # U-turn: this visit freezes {e} as a component
+                        if d_max > 0 or inc_count[pos] > 1:
+                            continue
+                w = a if a == b else (b if f == 0 else a)
+
+                d_shift = 0 if a == b else edge_delta(u, lbl)
+                if d_shift:
+                    lo_in[w] += d_shift
+                    hi_in[pos] -= d_shift
+                    if lo_in[w] > deg[w] or hi_in[pos] < deg[pos]:
+                        lo_in[w] -= d_shift
+                        hi_in[pos] += d_shift
+                        continue
+
+                use[e] = u + 1
+                if u == 0:
+                    fflag[e] = f
+                links[pos].append((prev_edge, e))
+                rem[pos] -= 1
+                rem[w] -= 1
+                steps.append((e, f))
+
+                ok = True
+                if check_local and pos != start:
+                    ok = vertex_ok(pos)
+                if ok and pos == start and rem[start] == 0 and depth + 1 < L:
+                    ok = False  # can never return to close the walk
+                if ok and rem[w] == 0 and depth + 1 < L:
+                    ok = False  # stuck on arrival
+                if ok and extend(w, depth + 1, e, start, first_edge):
+                    return True
+
+                steps.pop()
+                rem[pos] += 1
+                rem[w] += 1
+                links[pos].pop()
+                use[e] = u
+                if d_shift:
+                    lo_in[w] -= d_shift
+                    hi_in[pos] += d_shift
+        return False
+
+    has_arcs = any(lbl == ARC for lbl in labels)
+    if mode == MODE_COUNT_RAW:
+        roots = [(e, f) for e in range(m) for f in (0, 1) if labels[e] != ARC or f == 0]
+    elif has_arcs:
+        roots = [(0, f) for f in (0, 1) if labels[0] != ARC or f == 0]
     else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return chosen.run(n, ea, eb, labels, require_strong, d_max, mode)
+        # rotation plus reversal lets every trace start with (edge 0, flag 0)
+        roots = [(0, 0)]
+
+    for e0, f0 in roots:
+        a, b = ea[e0], eb[e0]
+        start = a if (a == b or f0 == 0) else b
+        w0 = a if a == b else (b if f0 == 0 else a)
+        d_shift = 0 if a == b else edge_delta(0, labels[e0])
+        if d_shift:
+            lo_in[w0] += d_shift
+            hi_in[start] -= d_shift
+            if lo_in[w0] > deg[w0] or hi_in[start] < deg[start]:
+                lo_in[w0] -= d_shift
+                hi_in[start] += d_shift
+                continue
+        use[e0] = 1
+        fflag[e0] = f0
+        rem[start] -= 1
+        rem[w0] -= 1
+        steps.append((e0, f0))
+        stop = extend(w0, 1, e0, start, e0)
+        steps.pop()
+        rem[start] += 1
+        rem[w0] += 1
+        use[e0] = 0
+        if d_shift:
+            lo_in[w0] -= d_shift
+            hi_in[start] += d_shift
+        if stop:
+            break
+
+    if mode == MODE_COUNT_RAW:
+        return count[0]
+    if mode == MODE_ENUM_FIXED:
+        return [tuple(s) for s in found_steps]
+    return list(found_steps[0]) if found_steps else None

@@ -17,7 +17,7 @@ predicates below need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -223,9 +223,8 @@ class TransitionSystem:
     def min_component_size(self) -> int:
         return min((len(c) for c in self.components), default=0)
 
-    def neighbor_components(self) -> tuple[frozenset[int], ...]:
+    def neighbor_components(self, host: Host) -> tuple[frozenset[int], ...]:
         """Components as neighbor-vertex sets; simple hosts only."""
-        host = self.host_check()
         out = []
         for comp in self.components:
             nbrs = set()
@@ -234,13 +233,6 @@ class TransitionSystem:
                 nbrs.add(b if a == self.vertex else a)
             out.append(frozenset(nbrs))
         return tuple(out)
-
-    def host_check(self):
-        if self._host is None:
-            raise InputError("transition system lost its host")
-        return self._host
-
-    _host: Host | None = field(default=None, repr=False, compare=False)
 
 
 def transition_system(w: ClosedWalk, v: int) -> TransitionSystem:
@@ -280,13 +272,7 @@ def transition_system(w: ClosedWalk, v: int) -> TransitionSystem:
         elements=elements,
         links=tuple(links),
         components=components,
-        _host=w.host,
     )
-
-
-def repetition_components(w: ClosedWalk, v: int) -> TransitionSystem:
-    """Transition system at ``v``; its component unions are the repetitions."""
-    return transition_system(w, v)
 
 
 def is_strong(w: ClosedWalk) -> bool:

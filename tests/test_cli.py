@@ -1,8 +1,10 @@
 """Command-line behavior: file parsing, dispatch, JSON schemas, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,18 @@ K4_STAR_TEXT = K4_TEXT + "E 0 1 2\n"
 PRISM_TEXT = "n 6\ne 0 1\ne 1 2\ne 2 0\ne 3 4\ne 4 5\ne 5 3\ne 0 3\ne 1 4\ne 2 5\n"
 LOOP_TEXT = "n 3 multi\ne 0 1\ne 1 2\ne 2 0\ne 0 0\n"
 MIXED_TEXT = "n 4 mixed\ne 0 1\ne 1 2\ne 2 3\ne 3 0\ne 0 2\na 1 3\nE 0 2\n"
+# seeded G(12, 20) and G(9, 18) from e2ebench/kernel_slots.json; the 1-stable
+# construction of the second one rests on the oracle search
+G12_20_TEXT = (
+    "n 12\ne 0 4\ne 0 8\ne 0 9\ne 0 10\ne 0 11\ne 1 2\ne 1 5\ne 1 8\ne 2 9\ne 2 11\n"
+    "e 3 6\ne 3 7\ne 3 10\ne 4 9\ne 4 11\ne 5 8\ne 6 11\ne 7 9\ne 8 11\ne 9 10\n"
+    "E 0 1 2 3 4 7 8 10 11 12 13 14 16 17 19\n"
+)
+G9_18_TEXT = (
+    "n 9\ne 0 1\ne 0 3\ne 0 4\ne 0 5\ne 0 6\ne 0 7\ne 1 7\ne 1 8\ne 2 5\ne 2 6\n"
+    "e 2 7\ne 2 8\ne 3 4\ne 5 6\ne 5 7\ne 6 7\ne 6 8\ne 7 8\n"
+    "E 0 1 2 3 4 5 6 7 9 11 12 13 15 16 17\n"
+)
 
 
 def write(tmp_path, name, text):
@@ -543,6 +557,16 @@ class TestGolden:
             ("cli_prism_enumerate_p4.json", PRISM_TEXT, ("enumerate", "--p", "4")),
             ("cli_loop_multigraph_enumerate.json", LOOP_TEXT, ("enumerate",)),
             ("cli_mixed_enumerate.json", MIXED_TEXT, ("enumerate",)),
+            (
+                "cli_g12_20_restricted_d1_construct.json",
+                G12_20_TEXT,
+                ("construct", "--variant", "restricted", "--d", "1", "--jobs", "1"),
+            ),
+            (
+                "cli_g9_18_restricted_d1_construct.json",
+                G9_18_TEXT,
+                ("construct", "--variant", "restricted", "--d", "1", "--jobs", "1"),
+            ),
         ],
     )
     def test_byte_stable(self, tmp_path, capsys, name, text, argv):
@@ -552,13 +576,16 @@ class TestGolden:
 
 
 def test_console_script_smoke(tmp_path):
+    # the installed script, else the same entry point run from the source tree
     exe = shutil.which("doubletrace")
-    if exe is None:
-        pytest.skip("console script not installed")
+    cmd = [exe] if exe is not None else [sys.executable, "-m", "doubletrace.cli"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     path = tmp_path / "c3.g"
     path.write_text(C3_TEXT)
     proc = subprocess.run(
-        [exe, "check", str(path)], capture_output=True, text=True
+        [*cmd, "check", str(path)], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outcome"] == "true"

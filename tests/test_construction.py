@@ -657,6 +657,25 @@ class TestMixedBuilder:
         assert is_d_stable(w, 1)
         assert check_restriction(w, r)
 
+    def test_mixed_d_stable_high_degree_fallback(self):
+        # the order-1 certificate rests on a high-degree vertex, not on a
+        # contracted one, so the trace comes from the oracle search
+        b = MixedGraph(
+            5,
+            [(0, 2), (2, 4), (0, 4), (1, 4), (0, 3), (2, 3), (1, 2), (0, 1), (3, 4)],
+            [(3, 1)],
+        )
+        r = RestrictionSet.of([0, 1, 3, 4, 5, 6])
+        w = build_mixed_trace(b, r, 1)
+        assert w.steps == (
+            (0, 0), (1, 0), (3, 1), (6, 0), (0, 1), (2, 0), (1, 1), (5, 0),
+            (4, 1), (2, 0), (8, 1), (5, 1), (6, 1), (3, 0), (8, 1), (9, 0),
+            (7, 1), (4, 0), (9, 0), (7, 1),
+        )
+        assert validate_double_trace(w).ok
+        assert check_restriction(w, r)
+        assert is_d_stable(w, 1)
+
     def test_infeasible_rejected(self):
         b = MixedGraph(3, [(0, 1), (1, 2)], [(0, 2), (2, 0)])
         with pytest.raises(PreconditionError):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from doubletrace import cli, enumeration
+from doubletrace import cli, enumeration, search_backend
 from doubletrace.enumeration import (
     ORACLE_ENUM_MAX_EDGES,
     ORACLE_EXISTS_MAX_EDGES,
@@ -29,7 +29,6 @@ from doubletrace.graphs import (
     cycle_graph,
     path_graph,
 )
-from doubletrace.search_backend import run_with
 from doubletrace.traces import (
     DoubleTrace,
     RestrictionSet,
@@ -407,7 +406,7 @@ class TestBackendParity:
         for q in (TraceQuery(C3), TraceQuery(K4, require_strong=True),
                   TraceQuery(C3, restriction=RestrictionSet.of((1,)))):
             n, ea, eb, labels = lower_query(q)
-            direct = run_with("python", n, ea, eb, labels,
-                              require_strong=q.require_strong, d_max=q.d,
-                              mode=1)
+            direct = search_backend.run(n, ea, eb, labels,
+                                        require_strong=q.require_strong, d_max=q.d,
+                                        mode=search_backend.MODE_COUNT_RAW)
             assert direct == count_raw_traces(q)

@@ -195,7 +195,7 @@ class TestTransitionSystems:
 
     def test_neighbor_components(self):
         ts = transition_system(C3_DOUBLED, 0)
-        assert ts.neighbor_components() == (frozenset({1, 2}),)
+        assert ts.neighbor_components(C3_DOUBLED.host) == (frozenset({1, 2}),)
 
 
 class TestRepetitionPredicates:
