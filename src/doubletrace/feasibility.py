@@ -131,12 +131,16 @@ def find_admissible_tree(
     *,
     max_vertices: int = TREE_SEARCH_MAX_VERTICES,
     max_corank: int = TREE_SEARCH_MAX_CORANK,
+    accept: Optional[Callable[[SpanningTreeCertificate], bool]] = None,
 ) -> Optional[SpanningTreeCertificate]:
     """First spanning tree whose co-tree components are all even or contain
-    a witness vertex; None when the complete enumeration finds none.
+    a witness vertex, and whose certificate ``accept`` (when given) takes;
+    None when the complete enumeration finds none.
 
     Trees are generated in lexicographic edge-index order, so the result is
-    deterministic.  Inputs above the size thresholds raise CapacityError.
+    deterministic, and with ``accept`` the first certificate offered to it
+    is the one returned without it.  Inputs above the size thresholds raise
+    CapacityError.
 
     Edges are decided in index order, tree edge first.  A second union-find
     tracks the co-tree decided so far; each of its roots stores the
@@ -207,9 +211,15 @@ def find_admissible_tree(
 
     chosen: list[int] = []
 
+    def certify() -> SpanningTreeCertificate:
+        tree = frozenset(chosen)
+        co_tree = [i for i in range(m) if i not in tree]
+        report = components_with_parity(induced_edge_subgraph(h, co_tree), pred)
+        return SpanningTreeCertificate(h, tree, report)
+
     def search(i: int) -> bool:
         if i == m:
-            return len(chosen) == target
+            return len(chosen) == target and (accept is None or accept(certify()))
         if len(chosen) + (m - i) < target:
             return False
         a, b = ends[i]
@@ -230,10 +240,7 @@ def find_admissible_tree(
 
     if not search(0):
         return None
-    tree = frozenset(chosen)
-    co_tree = [i for i in range(m) if i not in tree]
-    report = components_with_parity(induced_edge_subgraph(h, co_tree), pred)
-    return SpanningTreeCertificate(h, tree, report)
+    return certify()
 
 
 def _odd_rank_refutation(

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ PRISM_TEXT = "n 6\ne 0 1\ne 1 2\ne 2 0\ne 3 4\ne 4 5\ne 5 3\ne 0 3\ne 1 4\ne 2 5
 LOOP_TEXT = "n 3 multi\ne 0 1\ne 1 2\ne 2 0\ne 0 0\n"
 MIXED_TEXT = "n 4 mixed\ne 0 1\ne 1 2\ne 2 3\ne 3 0\ne 0 2\na 1 3\nE 0 2\n"
 # seeded G(12, 20) and G(9, 18) from e2ebench/kernel_slots.json; the 1-stable
-# construction of the second one rests on the oracle search
+# construction of the second one splits a high-degree vertex
 G12_20_TEXT = (
     "n 12\ne 0 4\ne 0 8\ne 0 9\ne 0 10\ne 0 11\ne 1 2\ne 1 5\ne 1 8\ne 2 9\ne 2 11\n"
     "e 3 6\ne 3 7\ne 3 10\ne 4 9\ne 4 11\ne 5 8\ne 6 11\ne 7 9\ne 8 11\ne 9 10\n"
@@ -299,6 +300,25 @@ class TestConstruct:
         walk = DoubleTrace(g, steps_of(doc))
         assert validate_double_trace(walk).ok
         assert is_d_stable(walk, 2)
+
+    def test_antiparallel_d1_wheel_11(self, tmp_path, capsys):
+        # the hub's degree alone certifies order 1; the exhaustive search
+        # took seconds on this wheel, the hub split takes milliseconds
+        text = "n 12\n" + "".join(
+            f"e {i} {i % 11 + 1}\ne 0 {i}\n" for i in range(1, 12)
+        )
+        path = write(tmp_path, "w11.g", text)
+        start = time.perf_counter()
+        code, doc, _ = run_json(
+            capsys, "construct", path, "--variant", "antiparallel", "--d", "1"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        g, _ = cli.parse_graph(text)
+        walk = DoubleTrace(g, steps_of(doc))
+        assert validate_double_trace(walk).ok
+        assert check_restriction(walk, RestrictionSet.of(range(g.edge_count)))
+        assert is_d_stable(walk, 1)
 
     def test_infeasible_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "c3r.g", C3_TEXT + "E 0\n")
@@ -573,6 +593,20 @@ class TestGolden:
         path = write(tmp_path, "g.g", text)
         _, out, _ = run_cli(capsys, argv[0], path, *argv[1:])
         assert out == (GOLDEN / name).read_text()
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("cli_g12_20_restricted_d1_construct.json", G12_20_TEXT),
+            ("cli_g9_18_restricted_d1_construct.json", G9_18_TEXT),
+        ],
+    )
+    def test_d1_goldens_are_valid(self, name, text):
+        g, r = cli.parse_graph(text)
+        walk = DoubleTrace(g, steps_of(json.loads((GOLDEN / name).read_text())))
+        assert validate_double_trace(walk).ok
+        assert check_restriction(walk, r)
+        assert is_d_stable(walk, 1)
 
 
 def test_console_script_smoke(tmp_path):

@@ -1,15 +1,18 @@
 """Builders: tours, surgery, and the restricted-trace pipelines."""
 
 import itertools
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
-from doubletrace import search_backend
+from doubletrace import construction, search_backend
 from doubletrace.construction import (
     OpenWalk,
     WalkFamily,
+    _balanced_split,
     antiparallel_double_trace_with_repetitions_in,
     antiparallel_strong_trace,
     build_E_restricted_d_stable_trace,
@@ -22,14 +25,17 @@ from doubletrace.construction import (
 )
 from doubletrace.errors import (
     InputError,
+    InternalConsistencyError,
     PreconditionError,
     SurgeryInapplicableError,
 )
 from doubletrace.feasibility import (
     SpanningTreeCertificate,
+    _restricted_analysis,
     find_admissible_tree,
     has_antiparallel_strong_trace,
     has_E_restricted_d_stable_trace,
+    has_E_restricted_d_stable_trace_mixed,
     has_E_restricted_strong_trace,
     has_E_restricted_strong_trace_mixed,
 )
@@ -39,6 +45,7 @@ from doubletrace.graphs import (
     Multigraph,
     complete_graph,
     components_with_parity,
+    contract_mixed,
     cycle_graph,
     induced_edge_subgraph,
     is_connected,
@@ -59,6 +66,9 @@ from doubletrace.traces import (
     validate_double_trace,
 )
 
+from test_acceptance import small_iso_types
+from test_graphs import brute_spanning_trees
+
 C3 = cycle_graph(3)
 C5 = cycle_graph(5)
 K4 = complete_graph(4)
@@ -67,6 +77,41 @@ FIG8 = Graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
 DIAMOND = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
 EMPTY = RestrictionSet.of([])
 K4_STAR = RestrictionSet.of([0, 1, 2])  # the edges at vertex 0
+KERNEL_SLOTS = Path(__file__).parent.parent / "e2ebench" / "kernel_slots.json"
+# the slots whose 1-stable verdict rests on a high-degree vertex
+DEGREE_BAR_SLOTS = (
+    "restricted-d1/G(9,18)#0",
+    "restricted-d1/G(10,17)#1",
+    "restricted-d1/G(9,18)#2",
+    "restricted-d1/G(10,20)#4",
+)
+# 5 vertices; the fragment contracts {0, 1, 3, 4} and leaves vertex 2, of
+# degree 4, as the only witness of order 1
+MIXED_BAR = MixedGraph(
+    5,
+    [(0, 2), (2, 4), (0, 4), (1, 4), (0, 3), (2, 3), (1, 2), (0, 1), (3, 4)],
+    [(3, 1)],
+)
+MIXED_BAR_R = RestrictionSet.of([0, 1, 3, 4, 5, 6])
+
+
+def wheel(k):
+    """Hub 0 joined to the rim cycle 1..k."""
+    rim = [(i, i % k + 1) for i in range(1, k + 1)]
+    return Graph(k + 1, rim + [(0, i) for i in range(1, k + 1)])
+
+
+def degree_bar_slots():
+    slots = {s["slot"]: s for s in json.loads(KERNEL_SLOTS.read_text())}
+    for name in DEGREE_BAR_SLOTS:
+        s = slots[name]
+        yield Graph(s["n"], s["edges"]), RestrictionSet.of(s["restriction"])
+
+
+def assert_d_stable_restricted(w, r, d):
+    assert validate_double_trace(w).ok
+    assert check_restriction(w, r)
+    assert is_d_stable(w, d)
 
 
 def direction_multiset(w):
@@ -421,6 +466,16 @@ class TestAntiparallelStrongTrace:
         assert_antiparallel_strong(antiparallel_strong_trace(DIAMOND, ans.certificate))
         w = build_E_restricted_strong_trace(K4, K4_STAR)
         assert check_restriction(w, K4_STAR)
+        w5 = wheel(5)
+        every = RestrictionSet.of(range(w5.edge_count))
+        assert_d_stable_restricted(build_E_restricted_d_stable_trace(w5, every, 1), every, 1)
+        for g, r in degree_bar_slots():
+            # no contracted vertex excuses the verdict's tree
+            cert = has_E_restricted_d_stable_trace(g, r, 1).certificate
+            assert not cert.revalidate(_restricted_analysis(g, r).witness_on_simplified())
+            assert_d_stable_restricted(build_E_restricted_d_stable_trace(g, r, 1), r, 1)
+        w = build_mixed_trace(MIXED_BAR, MIXED_BAR_R, 1)
+        assert_d_stable_restricted(w, MIXED_BAR_R, 1)
 
     def test_tree_walk_matches_reference(self):
         rng = random.Random(11)
@@ -606,18 +661,154 @@ class TestRestrictedDStable:
         with pytest.raises(PreconditionError):
             build_E_restricted_d_stable_trace(C3, EMPTY, 2)
 
-    def test_high_degree_witness_fallback(self):
+    def test_high_degree_witness_split(self):
         # wheel: no all-even tree exists, but the hub has degree 5, so the
-        # order-1 verdict rests on the hub and the trace comes from search
-        rim = [(i, i % 5 + 1) for i in range(1, 6)]
-        spokes = [(0, i) for i in range(1, 6)]
-        wheel = Graph(6, rim + spokes)
-        r = RestrictionSet.of(range(wheel.edge_count))
-        assert not has_antiparallel_strong_trace(wheel)
-        w = build_E_restricted_d_stable_trace(wheel, r, 1)
-        assert validate_double_trace(w).ok
-        assert is_d_stable(w, 1)
+        # order-1 verdict rests on the hub, which is split into two halves
+        g = wheel(5)
+        r = RestrictionSet.of(range(g.edge_count))
+        assert not has_antiparallel_strong_trace(g)
+        w = build_E_restricted_d_stable_trace(g, r, 1)
+        assert_d_stable_restricted(w, r, 1)
         assert set(classify_directions(w)) == {ANTIPARALLEL}
+        hub = transition_system(w, 0).components
+        assert len(hub) == 2 and min(len(c) for c in hub) >= 2
+
+    def test_no_split_raises_without_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("construction called the search kernel")
+
+        monkeypatch.setattr(search_backend, "run", refuse)
+        monkeypatch.setattr(construction, "_balanced_split", lambda *a: None)
+        # every admissible tree of the 5-wheel leaves an odd component that
+        # only the hub excuses
+        with pytest.raises(InternalConsistencyError, match="degree-bar"):
+            build_E_restricted_d_stable_trace(wheel(5), RestrictionSet.of(range(10)), 1)
+
+    def test_wheels_and_order_two(self):
+        # the hub of W_k has degree k; order 2 needs k >= 6
+        for k, d in ((6, 1), (7, 1), (9, 1), (11, 1), (6, 2), (7, 2), (11, 2)):
+            g = wheel(k)
+            r = RestrictionSet.of(range(g.edge_count))
+            assert_d_stable_restricted(build_E_restricted_d_stable_trace(g, r, d), r, d)
+
+
+def admissible_trees(h, witness):
+    """Every spanning tree of h whose odd co-tree components hold a witness."""
+    for tree in brute_spanning_trees(h):
+        tree = frozenset(tree)
+        co = [i for i in range(h.edge_count) if i not in tree]
+        report = components_with_parity(induced_edge_subgraph(h, co), witness)
+        if all(not c.odd or c.has_witness for c in report):
+            yield tree, report
+
+
+def split_works(h, tree, comp_edges, v, d, moved, f):
+    """The three split conditions, checked on the split graph itself."""
+    if not d + 1 <= len(moved) <= h.degree(v) - d - 1:
+        return False
+    n = h.vertex_count
+    edges = [
+        tuple(n if u == v and i in moved else u for u in h.endpoints(i))
+        for i in range(h.edge_count)
+    ]
+    split = Multigraph(n + 1, edges)
+    if not is_connected(Multigraph(n + 1, [edges[i] for i in tree | {f}])):
+        return False
+    pieces = components_with_parity(induced_edge_subgraph(split, comp_edges - {f}))
+    return all(not p.odd for p in pieces)
+
+
+class TestBalancedSplit:
+    def compare(self, h, witness, contracted, d):
+        """Polynomial choice against every partition of E(v) and every f,
+        for every admissible tree; returns the number of cases compared."""
+        return sum(
+            self.compare_tree(h, tree, report, witness, d, contracted)
+            for tree, report in admissible_trees(h, witness)
+        )
+
+    def compare_tree(self, h, tree, report, witness, d, contracted=lambda v: False):
+        cases = 0
+        for comp in report:
+            if not comp.odd or any(contracted(u) for u in comp.vertices):
+                continue
+            for v in sorted(u for u in comp.vertices if witness(u)):
+                at_v = h.incident(v)
+                exists = any(
+                    split_works(h, tree, comp.edges, v, d, frozenset(m), f)
+                    for k in range(len(at_v) + 1)
+                    for m in itertools.combinations(at_v, k)
+                    for f in comp.edges
+                )
+                chosen = _balanced_split(h, tree, comp.edges, v, d)
+                assert (chosen is not None) == exists, (h.edges, tree, v, d)
+                if chosen is not None:
+                    assert split_works(h, tree, comp.edges, v, d, *chosen)
+                cases += 1
+        return cases
+
+    def test_matches_brute_force_up_to_five_vertices(self):
+        cases = 0
+        for g in small_iso_types():
+            for bits in range(1 << g.edge_count):
+                r = RestrictionSet.of(i for i in range(g.edge_count) if bits >> i & 1)
+                frag = induced_edge_subgraph(g, r.complement(g))
+                if any(frag.degree(v) % 2 for v in frag.vertices):
+                    continue
+                analysis = _restricted_analysis(g, r)
+                for d in (1, 2):
+                    witness = analysis.witness_on_simplified(2 * d + 2)
+                    contracted = analysis.witness_on_simplified()
+                    h = analysis.simplified.graph
+                    if all(contracted(v) or not witness(v) for v in range(h.vertex_count)):
+                        continue
+                    cases += self.compare(h, witness, contracted, d)
+        assert cases > 100
+
+    def test_matches_brute_force_seeded_trees(self):
+        # larger vertices, with pieces of C - f that touch v more than once,
+        # under seeded random spanning trees, admissible or not
+        rng = random.Random(1979)
+        cases = 0
+        while cases < 60:
+            n = rng.randint(6, 7)
+            pairs = list(itertools.combinations(range(n), 2))
+            g = Graph(n, rng.sample(pairs, rng.randint(2 * n, len(pairs) - 2)))
+            if not is_connected(g):
+                continue
+            parent = list(range(n))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            tree = set()
+            for e in rng.sample(range(g.edge_count), g.edge_count):
+                ra, rb = (find(u) for u in g.endpoints(e))
+                if ra != rb:
+                    parent[ra] = rb
+                    tree.add(e)
+            co = [i for i in range(g.edge_count) if i not in tree]
+            report = components_with_parity(induced_edge_subgraph(g, co))
+            for comp in report:
+                if comp.odd and max(g.degree(v) for v in comp.vertices) >= 4:
+                    witness = lambda v: v in comp.vertices and g.degree(v) >= 4
+                    cert_report = components_with_parity(
+                        induced_edge_subgraph(g, co), witness
+                    )
+                    cases += self.compare_tree(g, frozenset(tree), cert_report, witness, 1)
+
+    def test_matches_brute_force_order_two(self):
+        # order 2 needs degree 6, beyond five vertices: a hub joined to six
+        # vertices, plus three disjoint rim edges or a rim path
+        spokes = [(0, i) for i in range(1, 7)]
+        cases = 0
+        for rim in ([(1, 2), (3, 4), (5, 6)], [(i, i + 1) for i in range(1, 6)]):
+            g = Graph(7, spokes + rim)
+            witness = lambda v: v == 0
+            cases += self.compare(g, witness, lambda v: False, 2)
+        assert cases > 10
 
 
 class TestMixedBuilder:
@@ -657,24 +848,48 @@ class TestMixedBuilder:
         assert is_d_stable(w, 1)
         assert check_restriction(w, r)
 
-    def test_mixed_d_stable_high_degree_fallback(self):
-        # the order-1 certificate rests on a high-degree vertex, not on a
-        # contracted one, so the trace comes from the oracle search
-        b = MixedGraph(
-            5,
-            [(0, 2), (2, 4), (0, 4), (1, 4), (0, 3), (2, 3), (1, 2), (0, 1), (3, 4)],
-            [(3, 1)],
-        )
-        r = RestrictionSet.of([0, 1, 3, 4, 5, 6])
-        w = build_mixed_trace(b, r, 1)
+    def test_mixed_d_stable_high_degree_split(self):
+        # the order-1 certificate rests on vertex 2, of degree 4, not on a
+        # contracted vertex, so vertex 2 is split into two halves of two
+        w = build_mixed_trace(MIXED_BAR, MIXED_BAR_R, 1)
         assert w.steps == (
-            (0, 0), (1, 0), (3, 1), (6, 0), (0, 1), (2, 0), (1, 1), (5, 0),
-            (4, 1), (2, 0), (8, 1), (5, 1), (6, 1), (3, 0), (8, 1), (9, 0),
-            (7, 1), (4, 0), (9, 0), (7, 1),
+            (1, 1), (6, 1), (3, 0), (8, 1), (9, 0), (7, 1), (0, 0), (5, 0),
+            (9, 0), (6, 0), (1, 0), (8, 1), (4, 1), (2, 0), (3, 1), (7, 1),
+            (4, 0), (5, 1), (0, 1), (2, 0),
         )
-        assert validate_double_trace(w).ok
-        assert check_restriction(w, r)
-        assert is_d_stable(w, 1)
+        assert_d_stable_restricted(w, MIXED_BAR_R, 1)
+        assert sorted(len(c) for c in transition_system(w, 2).components) == [2, 2]
+
+    def test_seeded_degree_bar_sweep(self):
+        # mixed hosts on up to 4 vertices never need a degree-bar witness:
+        # a vertex outside the contraction has at most 3 edges there; so the
+        # sweep draws 5- and 6-vertex hosts and keeps the 1-stable positives
+        # whose certificate no contracted vertex excuses
+        rng = random.Random(1610)
+        built = 0
+        for _ in range(6000):
+            n = rng.randint(5, 6)
+            pairs = list(itertools.combinations(range(n), 2))
+            edges = rng.sample(pairs, rng.randint(n, len(pairs)))
+            arcs = {tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))}
+            b = MixedGraph(n, edges, sorted(arcs))
+            if not is_connected(b):
+                continue
+            r = RestrictionSet.of(i for i in range(len(edges)) if rng.random() < 0.7)
+            answer = has_E_restricted_d_stable_trace_mixed(b, r, 1)
+            if not answer or not r.antiparallel_edges:
+                continue
+            cmap = contract_mixed(
+                b, [i for i in range(len(edges)) if i not in r.antiparallel_edges]
+            )
+            limit = cmap.quotient.vertex_count
+            if answer.certificate.revalidate(
+                lambda v: v < limit and v in cmap.eprime_vertices
+            ):
+                continue
+            assert_d_stable_restricted(build_mixed_trace(b, r, 1), r, 1)
+            built += 1
+        assert built >= 40
 
     def test_infeasible_rejected(self):
         b = MixedGraph(3, [(0, 1), (1, 2)], [(0, 2), (2, 0)])

@@ -278,6 +278,24 @@ class TestTreeSearch:
         with pytest.raises(PreconditionError):
             find_admissible_tree(Graph(2, []))
 
+    def test_accept_sees_every_admissible_tree_in_order(self):
+        # with every vertex a witness all 16 spanning trees of K4 qualify
+        k4 = complete_graph(4)
+        offered = []
+
+        def refuse(cert):
+            assert cert.revalidate(range(4))
+            offered.append(cert.tree_edges)
+            return False
+
+        assert find_admissible_tree(k4, range(4), accept=refuse) is None
+        assert len(set(offered)) == len(offered) == 16
+        assert offered[0] == find_admissible_tree(k4, range(4)).tree_edges
+        third = find_admissible_tree(
+            k4, range(4), accept=lambda cert: cert.tree_edges == offered[2]
+        )
+        assert third.tree_edges == offered[2]
+
 
 def leaf_rebuild_search(h, witness=None):
     """The tree search as it was before the incremental co-tree union-find:
