@@ -11,7 +11,14 @@ import time
 
 from doubletrace import search_backend
 from doubletrace.graphs import Graph, complete_graph, cycle_graph
-from doubletrace.search_backend import ANTI, FREE, MODE_COUNT_RAW, MODE_EXISTS, PAR
+from doubletrace.search_backend import (
+    ANTI,
+    FREE,
+    MODE_COUNT_RAW,
+    MODE_ENUM_FIXED,
+    MODE_EXISTS,
+    PAR,
+)
 
 
 def lower(g):
@@ -19,6 +26,10 @@ def lower(g):
 
 
 WHEEL = Graph(6, [(i, i % 5 + 1) for i in range(1, 6)] + [(0, i) for i in range(1, 6)])
+# the heaviest hosts of the enumerate workload: the pyramid over a square and
+# K4 with a path of length two between two of its vertices
+WHEEL4 = Graph(5, [(i, (i + 1) % 4) for i in range(4)] + [(i, 4) for i in range(4)])
+K4_EAR = Graph(5, list(complete_graph(4).edges) + [(0, 4), (4, 1)])
 
 CASES = [
     ("K4 raw census", complete_graph(4), [FREE] * 6, {"mode": MODE_COUNT_RAW}),
@@ -46,6 +57,30 @@ CASES = [
         [ANTI] * 10,
         {"mode": MODE_EXISTS, "d_max": 1},
     ),
+    (
+        "W4 strong enumeration",
+        WHEEL4,
+        [FREE] * 8,
+        {"mode": MODE_ENUM_FIXED, "require_strong": True},
+    ),
+    (
+        "W4 1-stable enumeration",
+        WHEEL4,
+        [FREE] * 8,
+        {"mode": MODE_ENUM_FIXED, "d_max": 1},
+    ),
+    (
+        "K4+ear strong enumeration",
+        K4_EAR,
+        [FREE] * 8,
+        {"mode": MODE_ENUM_FIXED, "require_strong": True},
+    ),
+    (
+        "K4+ear 1-stable enumeration",
+        K4_EAR,
+        [FREE] * 8,
+        {"mode": MODE_ENUM_FIXED, "d_max": 1},
+    ),
 ]
 
 
@@ -60,9 +95,11 @@ def bench(g, labels, kw, repeat):
     return statistics.median(times), result
 
 
-def summarize(result):
-    if isinstance(result, int):
+def summarize(result, mode):
+    if mode == MODE_COUNT_RAW:
         return f"count={result}"
+    if mode == MODE_ENUM_FIXED:
+        return f"sequences={len(result)}"
     if result is None:
         return "none"
     return f"steps={len(result)}"
@@ -76,7 +113,7 @@ def main():
     print(f"{'case':<28} {'median':>10}  result")
     for name, g, labels, kw in CASES:
         t, result = bench(g, labels, kw, args.repeat)
-        print(f"{name:<28} {t * 1e3:>8.1f}ms  {summarize(result)}")
+        print(f"{name:<28} {t * 1e3:>8.1f}ms  {summarize(result, kw['mode'])}")
 
 
 if __name__ == "__main__":

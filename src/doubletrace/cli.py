@@ -33,6 +33,7 @@ from .construction import (
 )
 from .enumeration import (
     TraceQuery,
+    _step_tables,
     enumerate_classes,
     fixed_start_sequences,
     fold_classes,
@@ -61,7 +62,7 @@ from .feasibility import (
     has_parallel_strong_trace,
     has_strong_trace,
 )
-from .graphs import Graph, Host, MixedGraph, Multigraph
+from .graphs import Graph, Host, MixedGraph, Multigraph, automorphisms
 from .traces import (
     ClosedWalk,
     DoubleTrace,
@@ -394,8 +395,50 @@ def build_trace(
 # ---------------------------------------------------------------------------
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(doc) -> str:
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` for
+    documents with string keys.  With an indent the standard library uses
+    its pure-Python encoder; this writer does the same work in joins, and
+    renders the step records, flat dicts of ints, from one template per
+    key set and depth."""
+    forms: dict[tuple[tuple[str, ...], str], str] = {}
+
+    def text(obj, pad: str) -> str:
+        if type(obj) is str:
+            return _quote(obj)
+        if type(obj) is int:
+            return int.__repr__(obj)
+        if obj is None or obj is True or obj is False:
+            return "null" if obj is None else "true" if obj else "false"
+        inner = pad + "  "
+        sep = "," + inner
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            # type(v) is int keeps True and False out of %d
+            if all(type(v) is int for v in obj.values()):
+                keys = tuple(sorted(obj))
+                form = forms.get((keys, pad))
+                if form is None:
+                    body = sep.join([_quote(k).replace("%", "%%") + ": %d" for k in keys])
+                    form = forms[keys, pad] = "{" + inner + body + pad + "}"
+                return form % tuple([obj[k] for k in keys])
+            body = sep.join([_quote(k) + ": " + text(v, inner) for k, v in sorted(obj.items())])
+            return "{" + inner + body + pad + "}"
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            return "[" + inner + sep.join([text(v, inner) for v in obj]) + pad + "]"
+        return json.dumps(obj)  # floats and other scalars
+
+    return text(doc, "\n")
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json_text(obj) + "\n")
 
 
 def _certificate_json(cert: Optional[SpanningTreeCertificate]):
@@ -544,14 +587,20 @@ def _restriction_size_sweep(
     g: Graph, p: int, d: Optional[int], jobs: int
 ) -> list[tuple[tuple[tuple[int, int], ...], int]]:
     """Classes (canonical trace, size) over every restriction of size p,
-    folded under the full symmetry group (which permutes the restrictions
-    themselves)."""
+    folded under the full symmetry group.  The group maps the traces of a
+    restriction onto those of every restriction in its orbit, so one
+    restriction per orbit, the first in combination order, is searched."""
     if not (0 <= p <= g.edge_count):
         raise InputError(f"--p must be between 0 and {g.edge_count}")
-    work = [
-        (g, frozenset(combo), d)
-        for combo in itertools.combinations(range(g.edge_count), p)
-    ]
+    auts = automorphisms(g)
+    edge_maps = [[c >> 1 for c in table[::2]] for table in _step_tables(g, auts)]
+    seen: set[frozenset[int]] = set()
+    work = []
+    for combo in itertools.combinations(range(g.edge_count), p):
+        anti = frozenset(combo)
+        if anti not in seen:
+            seen.update(frozenset(image[i] for i in anti) for image in edge_maps)
+            work.append((g, anti, d))
     if jobs > 1:
         # imported here: it costs every other query memory and start-up time
         import multiprocessing
@@ -560,7 +609,7 @@ def _restriction_size_sweep(
             batches = pool.map(_sweep_job, work)
     else:
         batches = [_sweep_job(item) for item in work]
-    return fold_classes(g, itertools.chain.from_iterable(batches))
+    return fold_classes(g, itertools.chain.from_iterable(batches), auts)
 
 
 def _cmd_enumerate(args) -> int:
@@ -571,7 +620,9 @@ def _cmd_enumerate(args) -> int:
             raise InputError("--p needs a simple graph")
         if variant not in ("strong", "dstable", "restricted"):
             raise InputError(f"--p fixes the direction sets; drop --variant {variant}")
-        classes = _restriction_size_sweep(host, args.p, args.d, args.jobs)
+        _reject_d(variant, args.d)
+        d = 1 if variant == "dstable" and args.d is None else args.d
+        classes = _restriction_size_sweep(host, args.p, d, args.jobs)
     elif isinstance(host, Graph):
         query = _query_for(host, variant, args.d, file_r)
         classes = [(c.canonical, c.size) for c in enumerate_classes(query)]

@@ -10,8 +10,23 @@ Pruning rules (all sound: none can cut a satisfying walk):
 * per-vertex arrival-count bounds from already-fixed edge directions,
 * a static arrival parity check for vertices with no free non-loop edges,
 * frozen transition components: a component of the link structure at a
-  vertex whose edges are fully used can never merge with anything later, so
-  an undersized or non-spanning one kills the branch.
+  vertex that can take no further link never merges with anything later,
+  so an undersized or non-spanning one kills the branch.
+
+Transition components live in one undoable union-find over slots, one slot
+per (vertex, incident edge), with union by size and no path compression.
+Each step of the walk through v links the arrival slot to the departure
+slot at v.  A root keeps its component's edge count and its open link
+ends: a slot starts with 2 ends, a loop's slot with 4, and each link uses
+up 2.  Invariant: a component is frozen exactly when it has no open end,
+since only a link at v can change it and a link needs an open end on each
+side.  So after each link only the root it touched is tested.  Every other
+component at v either still has an open end or was frozen, and tested, by
+an earlier link.  The start vertex is no exception: its first departure
+stays an open end until the closing link.  A component's open ends are
+even in number, so a loop whose second arrival is still pending leaves a
+second open end in its component, on an edge not yet used twice: "no open
+end" and "every edge used twice" pick the same components.
 
 Edge labels: 0 free, 1 parallel (same direction twice), 2 antiparallel,
 3 arc (both traversals in the stored direction).
@@ -60,16 +75,8 @@ def run(
         return []  # the empty trace
 
     L = 2 * m
-    incident: list[list[int]] = [[] for _ in range(n)]
     deg = [0] * n
-    for i in range(m):
-        incident[ea[i]].append(i)
-        deg[ea[i]] += 1
-        deg[eb[i]] += 1
-        if eb[i] != ea[i]:
-            incident[eb[i]].append(i)
-    inc_count = [len(incident[v]) for v in range(n)]
-
+    inc_count = [0] * n  # distinct incident edges
     # Arrival-count bounds per vertex.  Final arrivals at v equal deg[v];
     # each non-loop edge end contributes bounds by label, loops always 2.
     lo_in = [0] * n
@@ -78,10 +85,14 @@ def run(
     free_ends = [0] * n
     for i in range(m):
         a, b, lbl = ea[i], eb[i], labels[i]
+        deg[a] += 1
+        deg[b] += 1
+        inc_count[a] += 1
         if a == b:
             lo_in[a] += 2
             hi_in[a] += 2
             continue
+        inc_count[b] += 1
         if lbl == ARC:
             lo_in[b] += 2
             hi_in[b] += 2
@@ -106,137 +117,136 @@ def run(
             # without free edges the arrival parity at v is fixed
             return _negative(mode)
 
+    # Slots of the transition union-find (see the module docstring): 2e at
+    # ea[e] and 2e + 1 at eb[e]; a loop has only 2e.
+    open_ends = [2] * L
+    # Moves from v in incident-edge then flag order: (edge, flag, head,
+    # label, tail slot, head slot, arrival-bound shift on the first use,
+    # shift on the second use).  A parallel edge commits both arrivals on
+    # its first use, a free edge one per use; loops commit nothing.
+    moves: list[list[tuple[int, int, int, int, int, int, int, int]]] = [[] for _ in range(n)]
+    for e in range(m):
+        a, b, lbl = ea[e], eb[e], labels[e]
+        s = 2 * e
+        if a == b:
+            open_ends[s] = 4
+            moves[a].append((e, 0, a, lbl, s, s, 0, 0))
+            if lbl != ARC:
+                moves[a].append((e, 1, a, lbl, s, s, 0, 0))
+            continue
+        second = 1 if lbl == FREE else 0
+        first = 2 if lbl == PAR else second
+        moves[a].append((e, 0, b, lbl, s, s + 1, first, second))
+        if lbl != ARC:
+            moves[b].append((e, 1, a, lbl, s + 1, s, first, second))
+
+    parent = list(range(L))
+    size = [1] * L
+    # a frozen transition component at v must hold at least need[v] edges
+    need = [max(inc_count[v] if require_strong else 0, d_max + 1) for v in range(n)]
+    check_local = require_strong or d_max > 0
+
     use = [0] * m
     fflag = [0] * m
     rem = [2 * deg[v] for v in range(n)]
-    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     steps: list[tuple[int, int]] = []
-    check_local = require_strong or d_max > 0
+    found_steps: list[tuple[tuple[int, int], ...]] = []
+    count = 0
+    start = first_slot = 0  # set per root below
 
-    found_steps: list[list[tuple[int, int]]] = []
-    count = [0]
-
-    def vertex_ok(v: int) -> bool:
-        """Frozen-component test on the current links at v."""
-        lk = links[v]
-        parent: dict[int, int] = {}
-        for x, y in lk:
-            parent.setdefault(x, x)
-            parent.setdefault(y, y)
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for x, y in lk:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-        sizes: dict[int, int] = {}
-        frozen: dict[int, bool] = {}
-        for x in parent:
-            r = find(x)
-            sizes[r] = sizes.get(r, 0) + 1
-            if use[x] != 2:
-                frozen[r] = False
-            elif r not in frozen:
-                frozen[r] = True
-        for r, size in sizes.items():
-            if frozen.get(r, False):
-                if require_strong and size < inc_count[v]:
-                    return False
-                if 0 < d_max and size <= d_max:
-                    return False
-        return True
-
-    def accept(start: int, first_edge: int, prev_edge: int) -> bool:
-        """Close the cyclic link at the start vertex and test it."""
-        links[start].append((prev_edge, first_edge))
-        ok = vertex_ok(start)
-        links[start].pop()
-        return ok
-
-    def edge_delta(u_count: int, lbl: int) -> int:
-        """Arrival-bound shift committed by this use, 0 if none."""
-        if u_count == 0 and lbl == PAR:
-            return 2
-        if lbl == FREE:
-            return 1
-        return 0
-
-    def extend(pos: int, depth: int, prev_edge: int, start: int, first_edge: int) -> bool:
-        """Depth-first extension; returns True to stop the whole search."""
+    def extend(pos: int, depth: int, prev_edge: int, prev_slot: int) -> bool:
+        """Depth-first extension from pos, entered by prev_edge at
+        prev_slot; returns True to stop the whole search."""
+        nonlocal count
+        # every link made here joins the arrival slot's component, whose
+        # root stays put while the moves below are tried and undone
+        root = prev_slot
+        while parent[root] != root:
+            root = parent[root]
         if depth == L:
             if pos != start:
                 return False
-            if check_local and not accept(start, first_edge, prev_edge):
-                return False
+            if check_local:
+                # the closing link (prev, first) completes the last component
+                y = first_slot
+                while parent[y] != y:
+                    y = parent[y]
+                if (size[root] if root == y else size[root] + size[y]) < need[start]:
+                    return False
             if mode == MODE_COUNT_RAW:
-                count[0] += 1
+                count += 1
                 return False
-            found_steps.append(list(steps))
+            found_steps.append(tuple(steps))
             return mode == MODE_EXISTS
-        for e in incident[pos]:
+        last = depth + 1 == L
+        for e, f, w, lbl, tail, head, first, second in moves[pos]:
             u = use[e]
-            if u == 2:
-                continue
-            lbl = labels[e]
-            a, b = ea[e], eb[e]
-            if a == b:
-                flag_choices = (0, 1)
+            if u == 0:
+                shift = first
+            elif u == 1:
+                if lbl == PAR:
+                    if f != fflag[e]:
+                        continue
+                elif lbl == ANTI:
+                    if f == fflag[e]:
+                        continue
+                if prev_edge == e and need[pos] > 1:
+                    continue  # U-turn: this visit freezes {e} as a component
+                shift = second
             else:
-                flag_choices = ((0 if pos == a else 1),)
-            for f in flag_choices:
-                if lbl == ARC and f != 0:
+                continue
+            if shift:
+                lo_in[w] += shift
+                hi_in[pos] -= shift
+                if lo_in[w] > deg[w] or hi_in[pos] < deg[pos]:
+                    lo_in[w] -= shift
+                    hi_in[pos] += shift
                     continue
-                if u == 1:
-                    if lbl == PAR and f != fflag[e]:
-                        continue
-                    if lbl == ANTI and f == fflag[e]:
-                        continue
-                    if check_local and prev_edge == e:
-                        # U-turn: this visit freezes {e} as a component
-                        if d_max > 0 or inc_count[pos] > 1:
-                            continue
-                w = a if a == b else (b if f == 0 else a)
 
-                d_shift = 0 if a == b else edge_delta(u, lbl)
-                if d_shift:
-                    lo_in[w] += d_shift
-                    hi_in[pos] -= d_shift
-                    if lo_in[w] > deg[w] or hi_in[pos] < deg[pos]:
-                        lo_in[w] -= d_shift
-                        hi_in[pos] += d_shift
-                        continue
+            ok = True
+            if check_local:
+                # link (prev_edge, e) at pos; only the root it touches can
+                # have just frozen
+                x = root
+                y = tail
+                while parent[y] != y:
+                    y = parent[y]
+                if x == y:
+                    y = -1
+                    left = open_ends[x] - 2
+                else:
+                    if size[x] < size[y]:
+                        x, y = y, x
+                    parent[y] = x
+                    size[x] += size[y]
+                    left = open_ends[x] + open_ends[y] - 2
+                open_ends[x], before = left, open_ends[x]
+                ok = left > 0 or size[x] >= need[pos]
 
-                use[e] = u + 1
-                if u == 0:
-                    fflag[e] = f
-                links[pos].append((prev_edge, e))
-                rem[pos] -= 1
-                rem[w] -= 1
+            use[e] = u + 1
+            if u == 0:
+                fflag[e] = f
+            rem[pos] -= 1
+            rem[w] -= 1
+            if ok and not last and (rem[w] == 0 or (pos == start and rem[start] == 0)):
+                ok = False  # stuck on arrival, or can never return to close the walk
+            if ok:
                 steps.append((e, f))
-
-                ok = True
-                if check_local and pos != start:
-                    ok = vertex_ok(pos)
-                if ok and pos == start and rem[start] == 0 and depth + 1 < L:
-                    ok = False  # can never return to close the walk
-                if ok and rem[w] == 0 and depth + 1 < L:
-                    ok = False  # stuck on arrival
-                if ok and extend(w, depth + 1, e, start, first_edge):
+                if extend(w, depth + 1, e, head):
                     return True
-
                 steps.pop()
-                rem[pos] += 1
-                rem[w] += 1
-                links[pos].pop()
-                use[e] = u
-                if d_shift:
-                    lo_in[w] -= d_shift
-                    hi_in[pos] += d_shift
+
+            rem[pos] += 1
+            rem[w] += 1
+            use[e] = u
+            if check_local:
+                open_ends[x] = before
+                if y >= 0:
+                    parent[y] = y
+                    size[x] -= size[y]
+            if shift:
+                lo_in[w] -= shift
+                hi_in[pos] += shift
         return False
 
     has_arcs = any(lbl == ARC for lbl in labels)
@@ -251,33 +261,34 @@ def run(
     for e0, f0 in roots:
         a, b = ea[e0], eb[e0]
         start = a if (a == b or f0 == 0) else b
-        w0 = a if a == b else (b if f0 == 0 else a)
-        d_shift = 0 if a == b else edge_delta(0, labels[e0])
-        if d_shift:
-            lo_in[w0] += d_shift
-            hi_in[start] -= d_shift
+        _, _, w0, _, first_slot, head, shift, _ = next(
+            mv for mv in moves[start] if mv[0] == e0 and mv[1] == f0
+        )
+        if shift:
+            lo_in[w0] += shift
+            hi_in[start] -= shift
             if lo_in[w0] > deg[w0] or hi_in[start] < deg[start]:
-                lo_in[w0] -= d_shift
-                hi_in[start] += d_shift
+                lo_in[w0] -= shift
+                hi_in[start] += shift
                 continue
         use[e0] = 1
         fflag[e0] = f0
         rem[start] -= 1
         rem[w0] -= 1
         steps.append((e0, f0))
-        stop = extend(w0, 1, e0, start, e0)
+        stop = extend(w0, 1, e0, head)
         steps.pop()
         rem[start] += 1
         rem[w0] += 1
         use[e0] = 0
-        if d_shift:
-            lo_in[w0] -= d_shift
-            hi_in[start] += d_shift
+        if shift:
+            lo_in[w0] -= shift
+            hi_in[start] += shift
         if stop:
             break
 
     if mode == MODE_COUNT_RAW:
-        return count[0]
+        return count
     if mode == MODE_ENUM_FIXED:
-        return [tuple(s) for s in found_steps]
+        return found_steps
     return list(found_steps[0]) if found_steps else None

@@ -28,6 +28,7 @@ C3_TEXT = "n 3\ne 0 1\ne 1 2\ne 2 0\n"
 K4_TEXT = "n 4 simple\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n"
 K4_STAR_TEXT = K4_TEXT + "E 0 1 2\n"
 PRISM_TEXT = "n 6\ne 0 1\ne 1 2\ne 2 0\ne 3 4\ne 4 5\ne 5 3\ne 0 3\ne 1 4\ne 2 5\n"
+W4_TEXT = "n 5\ne 0 1\ne 1 2\ne 2 3\ne 3 0\ne 0 4\ne 1 4\ne 2 4\ne 3 4\n"
 LOOP_TEXT = "n 3 multi\ne 0 1\ne 1 2\ne 2 0\ne 0 0\n"
 MIXED_TEXT = "n 4 mixed\ne 0 1\ne 1 2\ne 2 3\ne 3 0\ne 0 2\na 1 3\nE 0 2\n"
 # seeded G(12, 20) and G(9, 18) from e2ebench/kernel_slots.json; the 1-stable
@@ -520,6 +521,26 @@ class TestEnumerate:
         run_cli(capsys, "enumerate", path, "--p", "1", "--jobs", "4")
         assert seen == [3, 1, 2, 1, 4]
 
+    def test_p_dstable_defaults_to_1_stable(self, tmp_path, capsys):
+        # as everywhere else, dstable without --d means d = 1, not strong
+        path = write(tmp_path, "w4.g", W4_TEXT)
+        argv = ("enumerate", path, "--p", "2", "--classes", "--variant")
+        _, default, _ = run_cli(capsys, *argv, "dstable")
+        _, d1, _ = run_cli(capsys, *argv, "dstable", "--d", "1")
+        _, strong, _ = run_cli(capsys, *argv, "strong")
+        assert default == d1
+        assert (json.loads(default)["count"], json.loads(default)["raw_total"]) == (18, 2688)
+        assert (json.loads(strong)["count"], json.loads(strong)["raw_total"]) == (11, 1792)
+
+    def test_p_strong_rejects_d(self, tmp_path, capsys):
+        path = write(tmp_path, "w4.g", W4_TEXT)
+        code, out, err = run_cli(
+            capsys, "enumerate", path, "--p", "2", "--variant", "strong", "--d", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--d does not apply to the strong variant" in err
+
     def test_p_conflicts_with_direction_variants(self, tmp_path, capsys):
         path = write(tmp_path, "k4.g", K4_TEXT)
         code, _, err = run_cli(
@@ -607,6 +628,39 @@ class TestGolden:
         assert validate_double_trace(walk).ok
         assert check_restriction(walk, r)
         assert is_d_stable(walk, 1)
+
+
+class TestJsonWriter:
+    """The writer behind every JSON answer gives the bytes of
+    json.dumps(obj, indent=2, sort_keys=True)."""
+
+    DOCUMENTS = [
+        {},
+        [],
+        {"empty": [], "nested": {}, "list": [[], {}]},
+        {"none": None, "yes": True, "no": False, "flags": [True, False, None]},
+        {"edge": -3, "flag": 0, "from": -1, "to": 2},
+        {"flag": True, "edge": 1},
+        {"100%": 1, "%d": -2, "%%s": 3},
+        [{"edge": 1, "to": 2}, {"edge": 3, "to": 4}, {"to": 5, "edge": 6, "z": 7}],
+        [1, -2, [3, [-4, []]], {"x": [5]}],
+        {"quote\"": "back\\slash", "ctl": "tab\tnl\ncr\r\x00\x1f\x7f",
+         "text": "Gradišar — β ☃ \U0001f600", "": ""},
+        {"outer": {"inner": [{"a": 1, "b": [None, "s"]}, {"c": {"d": {}}}]}},
+        ("tuple", 7, ("nested", None)),
+        "bare string",
+        12,
+        None,
+    ]
+
+    @pytest.mark.parametrize("doc", DOCUMENTS, ids=range(len(DOCUMENTS)))
+    def test_hand_made(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+    def test_goldens(self, name):
+        doc = json.loads((GOLDEN / name).read_text())
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
 def test_console_script_smoke(tmp_path):

@@ -383,6 +383,29 @@ class TestOrbitWorkOncePerClass:
         assert len(calls) == len(classes)
 
 
+def test_restriction_size_sweep_searches_one_set_per_orbit(monkeypatch):
+    prism = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                      (0, 3), (1, 4), (2, 5)])
+    edge_of = {frozenset(e): i for i, e in enumerate(prism.edges)}
+    auts = automorphisms(prism)
+    job = cli._sweep_job
+    searched = []
+    monkeypatch.setattr(cli, "_sweep_job", lambda item: searched.append(item[1]) or job(item))
+    for p in (2, 3, 4):
+        searched.clear()
+        classes = cli._restriction_size_sweep(prism, p, None, 1)
+        sets = [frozenset(c) for c in itertools.combinations(range(9), p)]
+        every = [job((prism, anti, None)) for anti in sets]
+        assert classes == fold_classes(prism, itertools.chain.from_iterable(every))
+        orbits = {
+            frozenset(frozenset(edge_of[frozenset(perm[v] for v in prism.edges[i])]
+                                for i in anti) for perm in auts)
+            for anti in sets
+        }
+        assert len(searched) == len(orbits) < len(sets)
+        assert {next(o for o in orbits if anti in o) for anti in searched} == orbits
+
+
 class TestCapacity:
     def test_exists_gate(self):
         big = cycle_graph(ORACLE_EXISTS_MAX_EDGES + 1)

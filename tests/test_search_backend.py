@@ -1,0 +1,325 @@
+"""The search kernel against its previous implementation.
+
+``reference_run`` is the kernel before transition components were tracked
+incrementally.  Both must return the same sequences in the same order in
+every mode, on every small multigraph and label assignment and on seeded
+larger ones.
+"""
+
+import itertools
+import random
+
+from doubletrace import search_backend
+from doubletrace.graphs import Multigraph, is_connected
+from doubletrace.search_backend import (
+    ANTI,
+    ARC,
+    FREE,
+    MODE_COUNT_RAW,
+    MODE_ENUM_FIXED,
+    MODE_EXISTS,
+    PAR,
+)
+
+MODES = (MODE_EXISTS, MODE_COUNT_RAW, MODE_ENUM_FIXED)
+# (require_strong, d_max): plain, strong, 1-stable, 2-stable
+CONSTRAINTS = ((False, 0), (True, 0), (False, 1), (False, 2))
+
+
+def _negative(mode: int):
+    if mode == MODE_COUNT_RAW:
+        return 0
+    if mode == MODE_ENUM_FIXED:
+        return []
+    return None
+
+
+def reference_run(
+    n: int,
+    ea: list[int],
+    eb: list[int],
+    labels: list[int],
+    require_strong: bool = False,
+    d_max: int = 0,
+    mode: int = MODE_EXISTS,
+):
+    """The kernel as it was before the undoable union-find: after every
+    step, vertex_ok rebuilds the transition components at the vertex from
+    its list of links and calls a component frozen once all its edges are
+    used twice."""
+    m = len(ea)
+    if m == 0:
+        if mode == MODE_COUNT_RAW:
+            return 0
+        if mode == MODE_ENUM_FIXED:
+            return []
+        return []  # the empty trace
+
+    L = 2 * m
+    incident: list[list[int]] = [[] for _ in range(n)]
+    deg = [0] * n
+    for i in range(m):
+        incident[ea[i]].append(i)
+        deg[ea[i]] += 1
+        deg[eb[i]] += 1
+        if eb[i] != ea[i]:
+            incident[eb[i]].append(i)
+    inc_count = [len(incident[v]) for v in range(n)]
+
+    # Arrival-count bounds per vertex.  Final arrivals at v equal deg[v];
+    # each non-loop edge end contributes bounds by label, loops always 2.
+    lo_in = [0] * n
+    hi_in = [0] * n
+    anti_ends = [0] * n
+    free_ends = [0] * n
+    for i in range(m):
+        a, b, lbl = ea[i], eb[i], labels[i]
+        if a == b:
+            lo_in[a] += 2
+            hi_in[a] += 2
+            continue
+        if lbl == ARC:
+            lo_in[b] += 2
+            hi_in[b] += 2
+        elif lbl == ANTI:
+            lo_in[a] += 1
+            hi_in[a] += 1
+            lo_in[b] += 1
+            hi_in[b] += 1
+            anti_ends[a] += 1
+            anti_ends[b] += 1
+        else:  # FREE or PAR
+            hi_in[a] += 2
+            hi_in[b] += 2
+            if lbl == FREE:
+                free_ends[a] += 1
+                free_ends[b] += 1
+
+    for v in range(n):
+        if not (lo_in[v] <= deg[v] <= hi_in[v]):
+            return _negative(mode)
+        if free_ends[v] == 0 and (anti_ends[v] - deg[v]) % 2 != 0:
+            # without free edges the arrival parity at v is fixed
+            return _negative(mode)
+
+    use = [0] * m
+    fflag = [0] * m
+    rem = [2 * deg[v] for v in range(n)]
+    links: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    steps: list[tuple[int, int]] = []
+    check_local = require_strong or d_max > 0
+
+    found_steps: list[list[tuple[int, int]]] = []
+    count = [0]
+
+    def vertex_ok(v: int) -> bool:
+        """Frozen-component test on the current links at v."""
+        lk = links[v]
+        parent: dict[int, int] = {}
+        for x, y in lk:
+            parent.setdefault(x, x)
+            parent.setdefault(y, y)
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for x, y in lk:
+            rx, ry = find(x), find(y)
+            if rx != ry:
+                parent[rx] = ry
+        sizes: dict[int, int] = {}
+        frozen: dict[int, bool] = {}
+        for x in parent:
+            r = find(x)
+            sizes[r] = sizes.get(r, 0) + 1
+            if use[x] != 2:
+                frozen[r] = False
+            elif r not in frozen:
+                frozen[r] = True
+        for r, size in sizes.items():
+            if frozen.get(r, False):
+                if require_strong and size < inc_count[v]:
+                    return False
+                if 0 < d_max and size <= d_max:
+                    return False
+        return True
+
+    def accept(start: int, first_edge: int, prev_edge: int) -> bool:
+        """Close the cyclic link at the start vertex and test it."""
+        links[start].append((prev_edge, first_edge))
+        ok = vertex_ok(start)
+        links[start].pop()
+        return ok
+
+    def edge_delta(u_count: int, lbl: int) -> int:
+        """Arrival-bound shift committed by this use, 0 if none."""
+        if u_count == 0 and lbl == PAR:
+            return 2
+        if lbl == FREE:
+            return 1
+        return 0
+
+    def extend(pos: int, depth: int, prev_edge: int, start: int, first_edge: int) -> bool:
+        """Depth-first extension; returns True to stop the whole search."""
+        if depth == L:
+            if pos != start:
+                return False
+            if check_local and not accept(start, first_edge, prev_edge):
+                return False
+            if mode == MODE_COUNT_RAW:
+                count[0] += 1
+                return False
+            found_steps.append(list(steps))
+            return mode == MODE_EXISTS
+        for e in incident[pos]:
+            u = use[e]
+            if u == 2:
+                continue
+            lbl = labels[e]
+            a, b = ea[e], eb[e]
+            if a == b:
+                flag_choices = (0, 1)
+            else:
+                flag_choices = ((0 if pos == a else 1),)
+            for f in flag_choices:
+                if lbl == ARC and f != 0:
+                    continue
+                if u == 1:
+                    if lbl == PAR and f != fflag[e]:
+                        continue
+                    if lbl == ANTI and f == fflag[e]:
+                        continue
+                    if check_local and prev_edge == e:
+                        # U-turn: this visit freezes {e} as a component
+                        if d_max > 0 or inc_count[pos] > 1:
+                            continue
+                w = a if a == b else (b if f == 0 else a)
+
+                d_shift = 0 if a == b else edge_delta(u, lbl)
+                if d_shift:
+                    lo_in[w] += d_shift
+                    hi_in[pos] -= d_shift
+                    if lo_in[w] > deg[w] or hi_in[pos] < deg[pos]:
+                        lo_in[w] -= d_shift
+                        hi_in[pos] += d_shift
+                        continue
+
+                use[e] = u + 1
+                if u == 0:
+                    fflag[e] = f
+                links[pos].append((prev_edge, e))
+                rem[pos] -= 1
+                rem[w] -= 1
+                steps.append((e, f))
+
+                ok = True
+                if check_local and pos != start:
+                    ok = vertex_ok(pos)
+                if ok and pos == start and rem[start] == 0 and depth + 1 < L:
+                    ok = False  # can never return to close the walk
+                if ok and rem[w] == 0 and depth + 1 < L:
+                    ok = False  # stuck on arrival
+                if ok and extend(w, depth + 1, e, start, first_edge):
+                    return True
+
+                steps.pop()
+                rem[pos] += 1
+                rem[w] += 1
+                links[pos].pop()
+                use[e] = u
+                if d_shift:
+                    lo_in[w] -= d_shift
+                    hi_in[pos] += d_shift
+        return False
+
+    has_arcs = any(lbl == ARC for lbl in labels)
+    if mode == MODE_COUNT_RAW:
+        roots = [(e, f) for e in range(m) for f in (0, 1) if labels[e] != ARC or f == 0]
+    elif has_arcs:
+        roots = [(0, f) for f in (0, 1) if labels[0] != ARC or f == 0]
+    else:
+        # rotation plus reversal lets every trace start with (edge 0, flag 0)
+        roots = [(0, 0)]
+
+    for e0, f0 in roots:
+        a, b = ea[e0], eb[e0]
+        start = a if (a == b or f0 == 0) else b
+        w0 = a if a == b else (b if f0 == 0 else a)
+        d_shift = 0 if a == b else edge_delta(0, labels[e0])
+        if d_shift:
+            lo_in[w0] += d_shift
+            hi_in[start] -= d_shift
+            if lo_in[w0] > deg[w0] or hi_in[start] < deg[start]:
+                lo_in[w0] -= d_shift
+                hi_in[start] += d_shift
+                continue
+        use[e0] = 1
+        fflag[e0] = f0
+        rem[start] -= 1
+        rem[w0] -= 1
+        steps.append((e0, f0))
+        stop = extend(w0, 1, e0, start, e0)
+        steps.pop()
+        rem[start] += 1
+        rem[w0] += 1
+        use[e0] = 0
+        if d_shift:
+            lo_in[w0] -= d_shift
+            hi_in[start] += d_shift
+        if stop:
+            break
+
+    if mode == MODE_COUNT_RAW:
+        return count[0]
+    if mode == MODE_ENUM_FIXED:
+        return [tuple(s) for s in found_steps]
+    return list(found_steps[0]) if found_steps else None
+
+
+def assert_same_runs(n, edges, labels):
+    ea = [a for a, _ in edges]
+    eb = [b for _, b in edges]
+    found = 0
+    for strong, d in CONSTRAINTS:
+        for mode in MODES:
+            new = search_backend.run(n, ea, eb, list(labels), strong, d, mode)
+            old = reference_run(n, ea, eb, list(labels), strong, d, mode)
+            assert new == old, (n, edges, labels, strong, d, mode)
+            found += bool(new)
+    return found
+
+
+class TestMatchesReference:
+    def test_every_small_multigraph_and_labeling(self):
+        count = found = 0
+        for n in range(1, 4):
+            pairs = [(a, b) for a in range(n) for b in range(a, n)]
+            for m in range(1, 4):
+                for edges in itertools.combinations_with_replacement(pairs, m):
+                    if not is_connected(Multigraph(n, edges)):
+                        continue
+                    for labels in itertools.product((FREE, PAR, ANTI, ARC), repeat=m):
+                        count += 1
+                        found += assert_same_runs(n, edges, labels)
+        assert count == 1592
+        assert 0 < found < count * len(CONSTRAINTS) * len(MODES)
+
+    def test_seeded_multigraphs_with_arcs(self):
+        rng = random.Random(8)
+        count = found = loops = parallels = arcs = 0
+        while count < 120:
+            n = rng.randint(4, 6)
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(n - 1, 6))]
+            if not is_connected(Multigraph(n, edges)):
+                continue
+            labels = [rng.choice((FREE, FREE, PAR, ANTI, ARC)) for _ in edges]
+            count += 1
+            found += assert_same_runs(n, edges, labels)
+            loops += any(a == b for a, b in edges)
+            parallels += len({tuple(sorted(e)) for e in edges}) < len(edges)
+            arcs += ARC in labels
+        assert found > 0
+        assert min(loops, parallels, arcs) > 10
