@@ -1,16 +1,9 @@
 """Command-line front end: graph files in, JSON or DOT out.
 
-Graph file format, one record per line, ``#`` comments and blank lines
-ignored:
-
-    n <vertices> [simple|multi|mixed]   header, kind defaults to simple
-    e <u> <v>                           undirected edge
-    a <u> <v>                           arc, tail to head (mixed only)
-    E <i1> <i2> ...                     edges required antiparallel,
-                                        0-based in file order
-
-Results are printed as JSON on stdout (``--format dot`` switches built
-traces to DOT); diagnostics go to stderr.  Exit codes: 0 yes/valid,
+The graph-file format is read by ``parse_graph`` and written by
+``render_graph``, both in ``graphs.py`` and re-exported here.  Results
+are printed as JSON on stdout (``--format dot`` switches built traces to
+DOT); diagnostics go to stderr.  Exit codes: 0 yes/valid,
 1 no/invalid, 2 bad input or usage, 3 capacity (the size limit of an
 exhaustive step was hit, which is an "unknown", not a "no").
 """
@@ -25,10 +18,8 @@ import sys
 from typing import Optional, Sequence
 
 from .construction import (
+    _restricted_trace,
     antiparallel_strong_trace,
-    build_E_restricted_d_stable_trace,
-    build_E_restricted_strong_trace,
-    build_mixed_trace,
     parallel_strong_trace,
 )
 from .enumeration import (
@@ -62,11 +53,18 @@ from .feasibility import (
     has_parallel_strong_trace,
     has_strong_trace,
 )
-from .graphs import Graph, Host, MixedGraph, Multigraph, automorphisms
+from .graphs import (
+    Graph,
+    Host,
+    MixedGraph,
+    RestrictionSet,
+    automorphisms,
+    parse_graph,
+    render_graph,
+)
 from .traces import (
     ClosedWalk,
     DoubleTrace,
-    RestrictionSet,
     check_restriction,
     classify_directions,
     transition_system,
@@ -80,152 +78,8 @@ SWEEP_MAX_EDGES = 16
 
 
 # ---------------------------------------------------------------------------
-# Graph files
-# ---------------------------------------------------------------------------
-
-
-def _parse_int(token: str, lineno: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"{what} {token!r} is not an integer", lineno) from None
-
-
-def parse_graph(text: str) -> tuple[Host, Optional[RestrictionSet]]:
-    """Read one graph document; returns the host and its restriction, if any.
-
-    Restriction indices count edge records (``e`` and ``a`` lines together)
-    in file order and must name undirected edges.
-    """
-    kind: Optional[str] = None
-    nverts: Optional[int] = None
-    und: list[tuple[int, int]] = []
-    arcs: list[tuple[int, int]] = []
-    record_kinds: list[str] = []  # "e"/"a" per edge record, in file order
-    und_seen: set[tuple[int, int]] = set()
-    arc_seen: set[tuple[int, int]] = set()
-    restriction_ids: Optional[list[int]] = None
-    restriction_line = 0
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        tag = fields[0]
-        if tag == "n":
-            if nverts is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(fields) not in (2, 3):
-                raise ParseError("header must be 'n <vertices> [simple|multi|mixed]'", lineno)
-            nverts = _parse_int(fields[1], lineno, "vertex count")
-            if nverts < 0:
-                raise ParseError("vertex count must be non-negative", lineno)
-            kind = fields[2] if len(fields) == 3 else "simple"
-            if kind not in ("simple", "multi", "mixed"):
-                raise ParseError(f"unknown graph kind {kind!r}", lineno)
-        elif tag in ("e", "a"):
-            if nverts is None:
-                raise ParseError("edge record before the 'n' header", lineno)
-            if len(fields) != 3:
-                raise ParseError(f"edge record must be '{tag} <u> <v>'", lineno)
-            u = _parse_int(fields[1], lineno, "vertex")
-            v = _parse_int(fields[2], lineno, "vertex")
-            for x in (u, v):
-                if not (0 <= x < nverts):
-                    raise ParseError(f"vertex {x} out of range 0..{nverts - 1}", lineno)
-            if tag == "a":
-                if kind != "mixed":
-                    raise ParseError("arcs require a 'mixed' header", lineno)
-                if u == v:
-                    raise ParseError("arcs may not be loops", lineno)
-                if (u, v) in arc_seen:
-                    raise ParseError(f"duplicate arc ({u}, {v})", lineno)
-                arc_seen.add((u, v))
-                record_kinds.append("a")
-                arcs.append((u, v))
-            else:
-                if kind != "multi":
-                    if u == v:
-                        raise ParseError("loops need a 'multi' header", lineno)
-                    key = (min(u, v), max(u, v))
-                    if key in und_seen:
-                        raise ParseError(f"duplicate edge {key}", lineno)
-                    und_seen.add(key)
-                record_kinds.append("e")
-                und.append((u, v))
-        elif tag == "E":
-            if restriction_ids is not None:
-                raise ParseError("duplicate restriction record", lineno)
-            restriction_ids = [
-                _parse_int(t, lineno, "edge index") for t in fields[1:]
-            ]
-            restriction_line = lineno
-        else:
-            raise ParseError(f"unknown record {tag!r}", lineno)
-
-    if nverts is None:
-        raise ParseError("missing 'n <vertices>' header")
-
-    host: Host
-    if kind == "simple":
-        host = Graph(nverts, tuple(und))
-    elif kind == "multi":
-        host = Multigraph(nverts, tuple(und))
-    else:
-        host = MixedGraph(nverts, tuple(und), tuple(arcs))
-
-    restriction: Optional[RestrictionSet] = None
-    if restriction_ids is not None:
-        mapped = []
-        # position among undirected records; arcs shift later edge numbers
-        und_position = [0] * len(record_kinds)
-        seen_e = 0
-        for i, rk in enumerate(record_kinds):
-            und_position[i] = seen_e
-            if rk == "e":
-                seen_e += 1
-        for i in restriction_ids:
-            if not (0 <= i < len(record_kinds)):
-                raise ParseError(f"restriction index {i} out of range", restriction_line)
-            if record_kinds[i] == "a":
-                raise ParseError(
-                    f"restriction index {i} names an arc; arcs have fixed directions",
-                    restriction_line,
-                )
-            mapped.append(und_position[i])
-        restriction = RestrictionSet.of(mapped)
-    return host, restriction
-
-
-def render_graph(host: Host, restriction: Optional[RestrictionSet] = None) -> str:
-    """Inverse of parse_graph: parse(render(g)) is structurally equal to g."""
-    if isinstance(host, Graph):
-        kind = "simple"
-    elif isinstance(host, Multigraph):
-        kind = "multi"
-    elif isinstance(host, MixedGraph):
-        kind = "mixed"
-    else:
-        raise InputError(f"cannot render host of type {type(host).__name__}")
-    lines = [f"n {host.vertex_count} {kind}"]
-    for u, v in host.edges:
-        lines.append(f"e {u} {v}")
-    for u, v in getattr(host, "arcs", ()):
-        lines.append(f"a {u} {v}")
-    if restriction is not None:
-        ids = " ".join(str(i) for i in sorted(restriction.antiparallel_edges))
-        lines.append(f"E {ids}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # Variant dispatch
 # ---------------------------------------------------------------------------
-
-
-def _undirected_count(host: Host) -> int:
-    return len(host.edges)
 
 
 def _effective_restriction(
@@ -234,7 +88,7 @@ def _effective_restriction(
     if variant == "parallel":
         return RestrictionSet.of(())
     if variant == "antiparallel":
-        return RestrictionSet.of(range(_undirected_count(host)))
+        return RestrictionSet.of(range(len(host.edges)))
     if variant in ("restricted", "double"):
         return file_restriction if file_restriction is not None else RestrictionSet.of(())
     return None  # strong/dstable leave directions free
@@ -295,16 +149,16 @@ def _free_direction_build(g: Graph, d: Optional[int]) -> DoubleTrace:
     by degree parity before the full test runs.  The empty set needs no
     sweep and meets the parity target whenever every degree is even, so it
     is tried before the capacity gate, which bounds only the nonempty sets.
+    Each candidate is decided once and built from that verdict.
     """
 
     def build(combo: tuple[int, ...]) -> Optional[DoubleTrace]:
         r = RestrictionSet.of(combo)
         if d is None:
-            if has_E_restricted_strong_trace(g, r).verdict:
-                return build_E_restricted_strong_trace(g, r)
-        elif has_E_restricted_d_stable_trace(g, r, d).verdict:
-            return build_E_restricted_d_stable_trace(g, r, d)
-        return None
+            answer = has_E_restricted_strong_trace(g, r)
+        else:
+            answer = has_E_restricted_d_stable_trace(g, r, d)
+        return _restricted_trace(g, r, d, answer) if answer else None
 
     target = [g.degree(v) % 2 for v in range(g.vertex_count)]
     if not any(target):
@@ -352,34 +206,30 @@ def build_trace(
     variant: str,
     d: Optional[int],
     file_restriction: Optional[RestrictionSet],
+    answer: FeasibilityAnswer,
 ) -> DoubleTrace:
-    """Construct a trace behind a positive verdict for the same query.
-
-    Callers check feasibility first; an infeasible query surfaces as a
-    PreconditionError from the builders.
-    """
+    """Construct a trace behind ``answer``, the positive verdict that
+    ``feasibility_answer`` gave for the same query.  Restricted and
+    antiparallel builds use its certificate and decide nothing again."""
     r = _effective_restriction(variant, host, file_restriction)
     if isinstance(host, MixedGraph):
-        return build_mixed_trace(host, r, d)
+        return _restricted_trace(host, r, d, answer)
     if variant == "parallel":
         # the repaired doubled tour is strong, hence d-stable whenever the
         # degree gate passed
         return parallel_strong_trace(host)
     if variant == "antiparallel":
         if d is None:
-            answer = has_antiparallel_strong_trace(host)
-            if not answer.verdict:
-                raise PreconditionError("; ".join(answer.violated))
             return antiparallel_strong_trace(host, answer.certificate)
         if isinstance(host, Graph):
-            return build_E_restricted_d_stable_trace(host, r, d)
+            # the antiparallel search runs on the host itself, which is the
+            # quotient when every edge is restricted: same tree, same witnesses
+            return _restricted_trace(host, r, d, answer)
         return _oracle_build(host, False, d, r)
     if variant == "restricted":
         if not isinstance(host, Graph):
             raise InputError("the restricted variant needs a simple graph or a mixed graph")
-        if d is None:
-            return build_E_restricted_strong_trace(host, r)
-        return build_E_restricted_d_stable_trace(host, r, d)
+        return _restricted_trace(host, r, d, answer)
     if variant == "double":
         return _oracle_build(host, False, 0, r)
     # strong / dstable: directions are free
@@ -566,7 +416,7 @@ def _cmd_construct(args) -> int:
     if not answer.verdict:
         _emit({"outcome": "infeasible", "variant": variant, "violated": list(answer.violated)})
         return 1
-    walk = build_trace(host, variant, args.d, file_r)
+    walk = build_trace(host, variant, args.d, file_r, answer)
     if args.format == "dot":
         sys.stdout.write(_trace_dot(walk))
     else:

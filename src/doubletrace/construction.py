@@ -25,6 +25,8 @@ from .errors import (
     SurgeryInapplicableError,
 )
 from .feasibility import (
+    FeasibilityAnswer,
+    RestrictedAnalysis,
     SpanningTreeCertificate,
     _balanced_orientation,
     _restricted_analysis,
@@ -43,10 +45,8 @@ from .graphs import (
     MixedGraph,
     SimplifiedGraph,
     components_with_parity,
-    contract_mixed,
     induced_edge_subgraph,
     is_connected,
-    simplify_multigraph,
 )
 from .traces import (
     ClosedWalk,
@@ -588,9 +588,10 @@ def antiparallel_double_trace_with_repetitions_in(
 # split choice with brute force over every partition of E(v), for every
 # admissible tree of every graph with up to 5 vertices.  About 40,000
 # seeded random positives with 5 to 8 vertices built without a failure
-# when the construction was written.  The builders search the admissible
-# trees for one that splits; if none does they raise
-# InternalConsistencyError and never search for a trace instead.
+# when the construction was written.  The builder splits the verdict's own
+# tree when it can, and only otherwise searches the admissible trees for one
+# that splits; if none does it raises InternalConsistencyError and never
+# searches for a trace instead.
 
 
 def _tree_branches(h: Graph, tree, v: int) -> dict[int, int]:
@@ -1059,9 +1060,7 @@ def _family_counts_ok(family: WalkFamily, cmap: ContractionMap) -> None:
 
 def _assemble_restricted(
     host: Host,
-    fragment_edges: Sequence[int],
-    cmap: ContractionMap,
-    simp: SimplifiedGraph,
+    analysis: RestrictedAnalysis,
     cert: SpanningTreeCertificate,
     splits: Sequence[Split] = (),
 ) -> DoubleTrace:
@@ -1072,10 +1071,13 @@ def _assemble_restricted(
     transitions of the quotient trace: one class, or two at a degree-bar
     split.  With no fragment the lifted quotient trace is the answer.
     """
+    cmap, simp = analysis.contraction, analysis.simplified
     quotient_walk = antiparallel_double_trace_with_repetitions_in(
         simp.graph, cmap.eprime_vertices, cert, splits
     )
     q_steps = _project_simplified(simp, quotient_walk.steps)
+    survivors = frozenset(cmap.edge_origin)
+    fragment_edges = [i for i in range(host.edge_count) if i not in survivors]
     if not fragment_edges:
         steps = tuple((cmap.edge_origin[qe], f) for qe, f in q_steps)
         return DoubleTrace(host, steps)
@@ -1102,106 +1104,66 @@ def _assemble_restricted(
     return _repair_to_strong(walk, sorted(comp_of), "assembled trace")
 
 
-def build_E_restricted_strong_trace(g: Graph, r: RestrictionSet) -> DoubleTrace:
-    """Strong trace traversing the restricted edges once each way and all
-    others twice the same way.
+def _restricted_trace(
+    host: Union[Graph, MixedGraph],
+    r: RestrictionSet,
+    d: Optional[int],
+    answer: FeasibilityAnswer,
+) -> DoubleTrace:
+    """The restricted strong (``d`` None) or d-stable trace behind
+    ``answer``, the verdict on the same query; nothing is decided again.
 
-    Degenerate restriction sets short-circuit: an empty one yields the
-    all-parallel construction, a full one the all-antiparallel one.  The
-    general case runs the contraction pipeline and finishes with repetition
-    surgery, which always applies because every leftover repetition sits at
-    a vertex carrying a same-direction edge.
+    An empty restriction yields the all-parallel construction.  Otherwise
+    the verdict's tree drives the contraction pipeline, which finishes with
+    repetition surgery; that always applies, because every leftover
+    repetition sits at a vertex carrying a same-direction edge.  A d-stable
+    tree whose odd co-tree components all hold a contracted vertex needs
+    nothing more, and the output is d-stable thanks to the minimum-degree
+    gate.  Otherwise each component excused only by a vertex of quotient
+    degree >= 2d + 2 is split at that vertex into two halves of at least
+    d + 1 edges each (the split lemma above): the vertex keeps its two
+    classes, every other vertex ends with one.
     """
-    answer = has_E_restricted_strong_trace(g, r)
     if not answer:
         raise PreconditionError(
             "; ".join(answer.violated) or "no such trace exists"
         )
-    restricted = frozenset(r.antiparallel_edges)
-    if not restricted:
-        return parallel_strong_trace(g)
-    if len(restricted) == g.edge_count:
-        return antiparallel_strong_trace(g, answer.certificate)
-    analysis = _restricted_analysis(g, r)
-    eprime = [i for i in range(g.edge_count) if i not in restricted]
-    return _assemble_restricted(
-        g, eprime, analysis.contraction, analysis.simplified, answer.certificate
-    )
+    if not r.antiparallel_edges:
+        return parallel_strong_trace(host)
+    analysis = _restricted_analysis(host, r)
+    cert, splits = answer.certificate, []
+    contracted = analysis.witness_on_simplified()
+    if d is not None and not cert.revalidate(contracted):
+        cert, splits = _degree_bar_certificate(
+            analysis.simplified.graph,
+            cert,
+            analysis.witness_on_simplified(2 * d + 2),
+            contracted,
+            d,
+            host,
+        )
+    return _assemble_restricted(host, analysis, cert, splits)
+
+
+def build_E_restricted_strong_trace(g: Graph, r: RestrictionSet) -> DoubleTrace:
+    """Strong trace traversing the restricted edges once each way and all
+    others twice the same way."""
+    return _restricted_trace(g, r, None, has_E_restricted_strong_trace(g, r))
 
 
 def build_E_restricted_d_stable_trace(
     g: Graph, r: RestrictionSet, d: int
 ) -> DoubleTrace:
-    """Restricted trace avoiding repetitions of order up to ``d``.
-
-    When every odd co-tree component of the certificate holds a contracted
-    vertex, the strong pipeline applies and its output is automatically
-    d-stable thanks to the minimum-degree gate.  Otherwise each component
-    excused only by a vertex of quotient degree >= 2d + 2 is split at that
-    vertex into two halves of at least d + 1 edges each (the split lemma
-    above), and the same pipeline runs on the split quotient: the vertex
-    keeps its two classes, every other vertex ends with one.
-    """
-    answer = has_E_restricted_d_stable_trace(g, r, d)
-    if not answer:
-        raise PreconditionError(
-            "; ".join(answer.violated) or "no such trace exists"
-        )
-    analysis = _restricted_analysis(g, r)
-    contracted = analysis.witness_on_simplified()
-    if answer.certificate.revalidate(contracted):
-        return build_E_restricted_strong_trace(g, r)
-    simp = analysis.simplified
-    cert, splits = _degree_bar_certificate(
-        simp.graph,
-        answer.certificate,
-        analysis.witness_on_simplified(2 * d + 2),
-        contracted,
-        d,
-        g,
-    )
-    eprime = [i for i in range(g.edge_count) if i not in r.antiparallel_edges]
-    return _assemble_restricted(g, eprime, analysis.contraction, simp, cert, splits)
+    """Restricted trace avoiding repetitions of order up to ``d``."""
+    return _restricted_trace(g, r, d, has_E_restricted_d_stable_trace(g, r, d))
 
 
 def build_mixed_trace(
     b: MixedGraph, r: RestrictionSet, d: Optional[int] = None
 ) -> DoubleTrace:
     """Restricted strong (or d-stable) trace of a mixed graph; every arc is
-    traversed twice tail to head.
-
-    Same pipeline as the undirected builder, with direction-respecting
-    tours on the components formed by the unrestricted edges and all arcs,
-    and the same degree-bar splits for d-stable verdicts.
-    """
+    traversed twice tail to head, on direction-respecting tours of the
+    components formed by the unrestricted edges and all arcs."""
     if d is None:
-        answer = has_E_restricted_strong_trace_mixed(b, r)
-    else:
-        answer = has_E_restricted_d_stable_trace_mixed(b, r, d)
-    if not answer:
-        raise PreconditionError(
-            "; ".join(answer.violated) or "no such trace exists"
-        )
-    und = len(b.edges)
-    restricted = frozenset(r.antiparallel_edges)
-    if not restricted:
-        return parallel_strong_trace(b)
-
-    eprime = [i for i in range(und) if i not in restricted]
-    fragment = eprime + [und + k for k in range(len(b.arcs))]
-    cmap = contract_mixed(b, eprime)
-    simp = simplify_multigraph(cmap.quotient)
-    cert = answer.certificate
-    splits: list[Split] = []
-
-    limit = cmap.quotient.vertex_count
-    wit = frozenset(cmap.eprime_vertices)
-    contracted = lambda v: v < limit and v in wit
-    if d is not None and not cert.revalidate(contracted):
-        bar = 2 * d + 2
-        q = cmap.quotient
-        witness = lambda v: contracted(v) or (v < limit and q.degree(v) >= bar)
-        cert, splits = _degree_bar_certificate(
-            simp.graph, cert, witness, contracted, d, b
-        )
-    return _assemble_restricted(b, fragment, cmap, simp, cert, splits)
+        return _restricted_trace(b, r, d, has_E_restricted_strong_trace_mixed(b, r))
+    return _restricted_trace(b, r, d, has_E_restricted_d_stable_trace_mixed(b, r, d))

@@ -20,30 +20,20 @@ from .graphs import (
     Host,
     MixedGraph,
     Multigraph,
+    RestrictionSet,
     SimplifiedGraph,
+    WitnessSpec,
+    _as_predicate,
     components_with_parity,
     contract,
     contract_mixed,
     induced_edge_subgraph,
     is_connected,
-    is_even_subgraph,
     simplify_multigraph,
 )
-from .traces import RestrictionSet
 
 TREE_SEARCH_MAX_VERTICES = 12
 TREE_SEARCH_MAX_CORANK = 16
-
-WitnessSpec = Optional[Union[Collection[int], Callable[[int], bool]]]
-
-
-def _as_predicate(witness: WitnessSpec) -> Callable[[int], bool]:
-    if witness is None:
-        return lambda v: False
-    if callable(witness):
-        return witness
-    wset = frozenset(witness)
-    return lambda v: v in wset
 
 
 @dataclass(frozen=True)
@@ -375,54 +365,66 @@ def _check_order(d: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _complement_fragment(g: Graph, r: RestrictionSet) -> EdgeFragment:
+def _unrestricted_edges(host: Host, r: RestrictionSet) -> list[int]:
+    """The undirected edges outside the restriction, in index order."""
+    und_count = len(host.edges)
     for i in r.antiparallel_edges:
-        if not (0 <= i < g.edge_count):
+        if not (0 <= i < und_count):
             raise InputError(f"restriction edge {i} out of range")
-    eprime = [i for i in range(g.edge_count) if i not in r.antiparallel_edges]
-    return induced_edge_subgraph(g, eprime)
+    return [i for i in range(und_count) if i not in r.antiparallel_edges]
+
+
+def _odd_outside(frag: EdgeFragment) -> Optional[str]:
+    bad = sorted(v for v in frag.vertices if frag.degree(v) % 2 == 1)
+    if bad:
+        return f"vertices {bad} have odd degree outside the restriction"
+    return None
 
 
 def has_E_restricted_double_trace(g: Graph, r: RestrictionSet) -> FeasibilityAnswer:
     """Exists iff removing the restricted edges leaves an even graph."""
     _reject_disconnected(g)
-    frag = _complement_fragment(g, r)
-    if is_even_subgraph(frag):
+    frag = induced_edge_subgraph(g, _unrestricted_edges(g, r))
+    bad = _odd_outside(frag)
+    if bad is None:
         return FeasibilityAnswer(True, even_fragment=frag)
-    bad = sorted(v for v in frag.vertices if frag.degree(v) % 2 == 1)
-    return FeasibilityAnswer(
-        False, violated=(f"vertices {bad} have odd degree outside the restriction",)
-    )
+    return FeasibilityAnswer(False, violated=(bad,))
 
 
 @dataclass(frozen=True)
-class RestrictedStrongAnalysis:
-    """Intermediate artifacts of the restricted strong-trace decision,
-    shared between the decision procedure and the construction pipeline."""
+class RestrictedAnalysis:
+    """The quotient of a host by its unrestricted fragment, and the simple
+    graph the tree search runs on: the quotient with its loops and parallel
+    edges subdivided.  The decision and the construction both derive it
+    from the host and the restriction in O(m)."""
 
     contraction: ContractionMap
     simplified: SimplifiedGraph
 
-    def witness_set(self, degree_bar: int | None = None) -> frozenset[int]:
-        """Quotient vertices that excuse an odd co-tree component: the
-        contracted ones, plus high-degree ones when a bar is given."""
+    def witness_on_simplified(self, degree_bar: int | None = None) -> Callable[[int], bool]:
+        """Vertices of the searched graph that excuse an odd co-tree
+        component: the contracted ones, plus those of quotient degree at
+        least ``degree_bar`` when a bar is given; never a subdivision
+        vertex."""
+        q = self.contraction.quotient
+        limit = q.vertex_count
         wit = set(self.contraction.eprime_vertices)
         if degree_bar is not None:
-            q = self.contraction.quotient
-            wit.update(v for v in range(q.vertex_count) if q.degree(v) >= degree_bar)
-        return frozenset(wit)
-
-    def witness_on_simplified(self, degree_bar: int | None = None) -> Callable[[int], bool]:
-        limit = self.contraction.quotient.vertex_count
-        wit = self.witness_set(degree_bar)
+            wit.update(v for v in range(limit) if q.degree(v) >= degree_bar)
         return lambda v: v < limit and v in wit
 
 
-def _restricted_analysis(g: Graph, r: RestrictionSet) -> RestrictedStrongAnalysis:
-    eprime = [i for i in range(g.edge_count) if i not in r.antiparallel_edges]
-    cmap = contract(g, eprime)
-    simp = simplify_multigraph(cmap.quotient)
-    return RestrictedStrongAnalysis(cmap, simp)
+def _restricted_analysis(
+    host: Union[Graph, MixedGraph], r: RestrictionSet
+) -> RestrictedAnalysis:
+    """Contract the unrestricted edges (and, on a mixed host, every arc)
+    and simplify the quotient."""
+    eprime = _unrestricted_edges(host, r)
+    if isinstance(host, MixedGraph):
+        cmap = contract_mixed(host, eprime)
+    else:
+        cmap = contract(host, eprime)
+    return RestrictedAnalysis(cmap, simplify_multigraph(cmap.quotient))
 
 
 def _gate_quotient(q: Multigraph) -> None:
@@ -439,54 +441,38 @@ def _gate_quotient(q: Multigraph) -> None:
         )
 
 
-def has_E_restricted_strong_trace(g: Graph, r: RestrictionSet) -> FeasibilityAnswer:
-    """Both conditions: the unrestricted fragment is even at every vertex,
-    and the quotient by it has an admissible spanning tree (witnesses are
-    the contracted vertices, tracked through simplification)."""
-    _reject_disconnected(g)
-    frag = _complement_fragment(g, r)
-    if not is_even_subgraph(frag):
-        bad = sorted(v for v in frag.vertices if frag.degree(v) % 2 == 1)
-        return FeasibilityAnswer(
-            False, violated=(f"vertices {bad} have odd degree outside the restriction",)
-        )
-    analysis = _restricted_analysis(g, r)
-    searched = analysis.simplified.graph
-    witness = analysis.witness_on_simplified()
-    refuted = _odd_rank_refutation(searched, witness)
-    if refuted is not None:
-        return refuted
-    _gate_quotient(analysis.contraction.quotient)
-    cert = find_admissible_tree(
-        searched, witness, max_vertices=searched.vertex_count
-    )
-    if cert is not None:
-        return FeasibilityAnswer(True, certificate=cert, even_fragment=frag)
-    return FeasibilityAnswer(
-        False,
-        violated=(
-            "every spanning tree of the quotient leaves an odd co-tree "
-            "component without a contracted vertex",
-        ),
-    )
-
-
-def has_E_restricted_d_stable_trace(
-    g: Graph, r: RestrictionSet, d: int
+def _restricted_verdict(
+    host: Union[Graph, MixedGraph], r: RestrictionSet, d: Optional[int]
 ) -> FeasibilityAnswer:
-    _reject_disconnected(g)
-    _check_order(d)
-    bad_deg = _degree_gate(g, d)
-    if bad_deg is not None:
-        return FeasibilityAnswer(False, violated=(bad_deg,))
-    frag = _complement_fragment(g, r)
-    if not is_even_subgraph(frag):
-        bad = sorted(v for v in frag.vertices if frag.degree(v) % 2 == 1)
-        return FeasibilityAnswer(
-            False, violated=(f"vertices {bad} have odd degree outside the restriction",)
-        )
-    bar = 2 * d + 2
-    analysis = _restricted_analysis(g, r)
+    """The E-restricted strong (``d`` None) or d-stable decision.
+
+    A trace exists iff the fragment of unrestricted edges can be walked
+    twice in one direction and the quotient by it has a spanning tree whose
+    odd co-tree components are all witnessed.  Only the fragment test
+    depends on the host: every vertex even on a simple host, a balanced
+    orientation of each component, arcs included, on a mixed one.  The
+    witnesses are the contracted vertices and, for d-stable traces, the
+    vertices of quotient degree at least 2d + 2.  A simple host's positive
+    verdict also carries its even fragment.
+    """
+    _reject_disconnected(host)
+    bar = None
+    if d is not None:
+        _check_order(d)
+        bad = _degree_gate(host, d)
+        if bad is not None:
+            return FeasibilityAnswer(False, violated=(bad,))
+        bar = 2 * d + 2
+    eprime = _unrestricted_edges(host, r)
+    frag = None
+    if isinstance(host, MixedGraph):
+        bad = _unbalanced_fragment(host, eprime)
+    else:
+        frag = induced_edge_subgraph(host, eprime)
+        bad = _odd_outside(frag)
+    if bad is not None:
+        return FeasibilityAnswer(False, violated=(bad,))
+    analysis = _restricted_analysis(host, r)
     searched = analysis.simplified.graph
     witness = analysis.witness_on_simplified(bar)
     refuted = _odd_rank_refutation(searched, witness)
@@ -498,27 +484,46 @@ def has_E_restricted_d_stable_trace(
     )
     if cert is not None:
         return FeasibilityAnswer(True, certificate=cert, even_fragment=frag)
-    return FeasibilityAnswer(
-        False,
-        violated=(
-            "every spanning tree of the quotient leaves an odd co-tree component "
-            f"without a contracted vertex or a vertex of quotient degree >= {bar}",
-        ),
+    reason = (
+        "every spanning tree of the quotient leaves an odd co-tree component "
+        "without a contracted vertex"
     )
+    if bar is not None:
+        reason += f" or a vertex of quotient degree >= {bar}"
+    return FeasibilityAnswer(False, violated=(reason,))
+
+
+def has_E_restricted_strong_trace(g: Graph, r: RestrictionSet) -> FeasibilityAnswer:
+    """Both conditions: the unrestricted fragment is even at every vertex,
+    and the quotient by it has an admissible spanning tree (witnesses are
+    the contracted vertices, tracked through simplification)."""
+    return _restricted_verdict(g, r, None)
+
+
+def has_E_restricted_d_stable_trace(
+    g: Graph, r: RestrictionSet, d: int
+) -> FeasibilityAnswer:
+    return _restricted_verdict(g, r, d)
+
+
+def has_E_restricted_strong_trace_mixed(
+    b: MixedGraph, r: RestrictionSet
+) -> FeasibilityAnswer:
+    """Mixed analogue: every component of the fragment made of unrestricted
+    edges plus all arcs must admit a direction-respecting Euler tour, and
+    the quotient by that fragment needs an admissible tree."""
+    return _restricted_verdict(b, r, None)
+
+
+def has_E_restricted_d_stable_trace_mixed(
+    b: MixedGraph, r: RestrictionSet, d: int
+) -> FeasibilityAnswer:
+    return _restricted_verdict(b, r, d)
 
 
 # ---------------------------------------------------------------------------
-# Mixed-graph variants
+# Mixed-graph fragments
 # ---------------------------------------------------------------------------
-
-
-def _has_balanced_orientation(
-    nverts: list[int],
-    und: list[tuple[int, int]],
-    arcs: list[tuple[int, int]],
-    degree: dict[int, int],
-) -> bool:
-    return _balanced_orientation(nverts, und, arcs, degree) is not None
 
 
 def _balanced_orientation(
@@ -619,7 +624,7 @@ def mixed_euler_feasible(b: MixedGraph) -> bool:
     _reject_disconnected(b)
     verts = list(range(b.vertex_count))
     degree = _piece_degrees(verts, b.edges, b.arcs)
-    return _has_balanced_orientation(verts, list(b.edges), list(b.arcs), degree)
+    return _balanced_orientation(verts, list(b.edges), list(b.arcs), degree) is not None
 
 
 def mixed_cut_condition(b: MixedGraph, *, max_vertices: int = 8) -> bool:
@@ -677,66 +682,12 @@ def _mixed_fragment_components(
     return out
 
 
-def _mixed_restricted_core(
-    b: MixedGraph, r: RestrictionSet, degree_bar: int | None
-) -> FeasibilityAnswer:
-    und_count = len(b.edges)
-    for i in r.antiparallel_edges:
-        if not (0 <= i < und_count):
-            raise InputError(f"restriction edge {i} out of range")
-    eprime = [i for i in range(und_count) if i not in r.antiparallel_edges]
-
+def _unbalanced_fragment(b: MixedGraph, eprime: Collection[int]) -> Optional[str]:
     for verts, und, arcs in _mixed_fragment_components(b, eprime):
         degree = _piece_degrees(verts, und, arcs)
-        if not _has_balanced_orientation(verts, und, arcs, degree):
-            return FeasibilityAnswer(
-                False,
-                violated=(
-                    f"fragment component on vertices {verts} admits no "
-                    "direction-respecting Euler tour",
-                ),
+        if _balanced_orientation(verts, und, arcs, degree) is None:
+            return (
+                f"fragment component on vertices {verts} admits no "
+                "direction-respecting Euler tour"
             )
-
-    cmap = contract_mixed(b, eprime)
-    simp = simplify_multigraph(cmap.quotient)
-    limit = cmap.quotient.vertex_count
-    wit = set(cmap.eprime_vertices)
-    if degree_bar is not None:
-        wit.update(
-            v for v in range(limit) if cmap.quotient.degree(v) >= degree_bar
-        )
-    witness = lambda v: v < limit and v in wit
-    refuted = _odd_rank_refutation(simp.graph, witness)
-    if refuted is not None:
-        return refuted
-    _gate_quotient(cmap.quotient)
-    cert = find_admissible_tree(
-        simp.graph, witness, max_vertices=simp.graph.vertex_count
-    )
-    if cert is not None:
-        return FeasibilityAnswer(True, certificate=cert)
-    reason = "every spanning tree of the quotient leaves an odd co-tree component without a contracted vertex"
-    if degree_bar is not None:
-        reason += f" or a vertex of quotient degree >= {degree_bar}"
-    return FeasibilityAnswer(False, violated=(reason,))
-
-
-def has_E_restricted_strong_trace_mixed(
-    b: MixedGraph, r: RestrictionSet
-) -> FeasibilityAnswer:
-    """Mixed analogue: every component of the fragment made of unrestricted
-    edges plus all arcs must admit a direction-respecting Euler tour, and
-    the quotient by that fragment needs an admissible tree."""
-    _reject_disconnected(b)
-    return _mixed_restricted_core(b, r, None)
-
-
-def has_E_restricted_d_stable_trace_mixed(
-    b: MixedGraph, r: RestrictionSet, d: int
-) -> FeasibilityAnswer:
-    _reject_disconnected(b)
-    _check_order(d)
-    bad = _degree_gate(b, d)
-    if bad is not None:
-        return FeasibilityAnswer(False, violated=(bad,))
-    return _mixed_restricted_core(b, r, 2 * d + 2)
+    return None

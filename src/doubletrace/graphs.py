@@ -10,15 +10,18 @@ certificate elsewhere in the package is a set of these positional indices.
 
 For a :class:`MixedGraph` the traversable objects are indexed together:
 undirected edges first (in file/list order), then arcs.
+
+The module also holds :class:`RestrictionSet` and the graph-file format
+(``parse_graph`` and ``render_graph``).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Optional, Union
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, ParseError
 
 # ---------------------------------------------------------------------------
 # Host types
@@ -213,6 +216,29 @@ class MixedGraph:
 Host = Union[Graph, Multigraph, MixedGraph]
 
 
+@dataclass(frozen=True)
+class RestrictionSet:
+    """The set of edge indices required to be traversed in opposite
+    directions; all other undirected edges must be traversed twice in the
+    same direction."""
+
+    antiparallel_edges: frozenset[int]
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "antiparallel_edges", frozenset(int(i) for i in self.antiparallel_edges)
+        )
+
+    @classmethod
+    def of(cls, edges: Iterable[int]) -> "RestrictionSet":
+        return cls(frozenset(edges))
+
+    def complement(self, host: Host) -> frozenset[int]:
+        """Indices of the undirected edges required to be parallel."""
+        undirected = getattr(host, "edges", ())
+        return frozenset(range(len(undirected))) - self.antiparallel_edges
+
+
 def is_connected(host: Host) -> bool:
     """True iff the host is connected (weakly, for mixed graphs).
 
@@ -237,6 +263,154 @@ def is_connected(host: Host) -> bool:
                 seen[w] = True
                 stack.append(w)
     return all(seen)
+
+
+# ---------------------------------------------------------------------------
+# Graph files
+# ---------------------------------------------------------------------------
+#
+# One record per line, ``#`` comments and blank lines ignored:
+#
+#     n <vertices> [simple|multi|mixed]   header, kind defaults to simple
+#     e <u> <v>                           undirected edge
+#     a <u> <v>                           arc, tail to head (mixed only)
+#     E <i1> <i2> ...                     edges required antiparallel,
+#                                         0-based in file order
+
+
+def _parse_int(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{what} {token!r} is not an integer", lineno) from None
+
+
+def parse_graph(text: str) -> tuple[Host, Optional[RestrictionSet]]:
+    """Read one graph document; returns the host and its restriction, if any.
+
+    Restriction indices count edge records (``e`` and ``a`` lines together)
+    in file order and must name undirected edges.
+    """
+    kind: Optional[str] = None
+    nverts: Optional[int] = None
+    und: list[tuple[int, int]] = []
+    arcs: list[tuple[int, int]] = []
+    record_kinds: list[str] = []  # "e"/"a" per edge record, in file order
+    und_seen: set[tuple[int, int]] = set()
+    arc_seen: set[tuple[int, int]] = set()
+    restriction_ids: Optional[list[int]] = None
+    restriction_line = 0
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        tag = fields[0]
+        if tag == "n":
+            if nverts is not None:
+                raise ParseError("duplicate header", lineno)
+            if len(fields) not in (2, 3):
+                raise ParseError("header must be 'n <vertices> [simple|multi|mixed]'", lineno)
+            nverts = _parse_int(fields[1], lineno, "vertex count")
+            if nverts < 0:
+                raise ParseError("vertex count must be non-negative", lineno)
+            kind = fields[2] if len(fields) == 3 else "simple"
+            if kind not in ("simple", "multi", "mixed"):
+                raise ParseError(f"unknown graph kind {kind!r}", lineno)
+        elif tag in ("e", "a"):
+            if nverts is None:
+                raise ParseError("edge record before the 'n' header", lineno)
+            if len(fields) != 3:
+                raise ParseError(f"edge record must be '{tag} <u> <v>'", lineno)
+            u = _parse_int(fields[1], lineno, "vertex")
+            v = _parse_int(fields[2], lineno, "vertex")
+            for x in (u, v):
+                if not (0 <= x < nverts):
+                    raise ParseError(f"vertex {x} out of range 0..{nverts - 1}", lineno)
+            if tag == "a":
+                if kind != "mixed":
+                    raise ParseError("arcs require a 'mixed' header", lineno)
+                if u == v:
+                    raise ParseError("arcs may not be loops", lineno)
+                if (u, v) in arc_seen:
+                    raise ParseError(f"duplicate arc ({u}, {v})", lineno)
+                arc_seen.add((u, v))
+                record_kinds.append("a")
+                arcs.append((u, v))
+            else:
+                if kind != "multi":
+                    if u == v:
+                        raise ParseError("loops need a 'multi' header", lineno)
+                    key = (min(u, v), max(u, v))
+                    if key in und_seen:
+                        raise ParseError(f"duplicate edge {key}", lineno)
+                    und_seen.add(key)
+                record_kinds.append("e")
+                und.append((u, v))
+        elif tag == "E":
+            if restriction_ids is not None:
+                raise ParseError("duplicate restriction record", lineno)
+            restriction_ids = [
+                _parse_int(t, lineno, "edge index") for t in fields[1:]
+            ]
+            restriction_line = lineno
+        else:
+            raise ParseError(f"unknown record {tag!r}", lineno)
+
+    if nverts is None:
+        raise ParseError("missing 'n <vertices>' header")
+
+    host: Host
+    if kind == "simple":
+        host = Graph(nverts, tuple(und))
+    elif kind == "multi":
+        host = Multigraph(nverts, tuple(und))
+    else:
+        host = MixedGraph(nverts, tuple(und), tuple(arcs))
+
+    restriction: Optional[RestrictionSet] = None
+    if restriction_ids is not None:
+        mapped = []
+        # position among undirected records; arcs shift later edge numbers
+        und_position = [0] * len(record_kinds)
+        seen_e = 0
+        for i, rk in enumerate(record_kinds):
+            und_position[i] = seen_e
+            if rk == "e":
+                seen_e += 1
+        for i in restriction_ids:
+            if not (0 <= i < len(record_kinds)):
+                raise ParseError(f"restriction index {i} out of range", restriction_line)
+            if record_kinds[i] == "a":
+                raise ParseError(
+                    f"restriction index {i} names an arc; arcs have fixed directions",
+                    restriction_line,
+                )
+            mapped.append(und_position[i])
+        restriction = RestrictionSet.of(mapped)
+    return host, restriction
+
+
+def render_graph(host: Host, restriction: Optional[RestrictionSet] = None) -> str:
+    """Inverse of parse_graph: parse(render(g)) is structurally equal to g."""
+    if isinstance(host, Graph):
+        kind = "simple"
+    elif isinstance(host, Multigraph):
+        kind = "multi"
+    elif isinstance(host, MixedGraph):
+        kind = "mixed"
+    else:
+        raise InputError(f"cannot render host of type {type(host).__name__}")
+    lines = [f"n {host.vertex_count} {kind}"]
+    for u, v in host.edges:
+        lines.append(f"e {u} {v}")
+    for u, v in getattr(host, "arcs", ()):
+        lines.append(f"a {u} {v}")
+    if restriction is not None:
+        ids = " ".join(str(i) for i in sorted(restriction.antiparallel_edges))
+        lines.append(f"E {ids}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +483,20 @@ class ComponentReport:
         return len(self.components)
 
 
+WitnessSpec = Optional[Union[Collection[int], Callable[[int], bool]]]
+
+
+def _as_predicate(witness: WitnessSpec) -> Callable[[int], bool]:
+    if witness is None:
+        return lambda v: False
+    if callable(witness):
+        return witness
+    wset = frozenset(witness)
+    return lambda v: v in wset
+
+
 def components_with_parity(
-    fragment: EdgeFragment,
-    witness: Optional[Collection[int] | Callable[[int], bool]] = None,
+    fragment: EdgeFragment, witness: WitnessSpec = None
 ) -> ComponentReport:
     """Connected components of a fragment with edge-count parity and witness
     flags.
@@ -319,14 +504,7 @@ def components_with_parity(
     ``witness`` marks distinguished vertices, given as a vertex collection or
     a predicate; a component's flag is true iff it contains one.
     """
-    if witness is None:
-        pred: Callable[[int], bool] = lambda v: False
-    elif callable(witness):
-        pred = witness
-    else:
-        wset = frozenset(witness)
-        pred = lambda v: v in wset
-
+    pred = _as_predicate(witness)
     parent: dict[int, int] = {v: v for v in fragment.vertices}
 
     def find(x: int) -> int:

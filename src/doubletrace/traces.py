@@ -18,10 +18,10 @@ predicates below need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError
-from .graphs import Host, is_connected
+from .graphs import Host, RestrictionSet, is_connected
 
 Step = tuple[int, int]
 
@@ -77,29 +77,6 @@ class ClosedWalk:
 
 class DoubleTrace(ClosedWalk):
     """A closed walk meant to traverse every host edge exactly twice."""
-
-
-@dataclass(frozen=True)
-class RestrictionSet:
-    """The set of edge indices required to be traversed in opposite
-    directions; all other undirected edges must be traversed twice in the
-    same direction."""
-
-    antiparallel_edges: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "antiparallel_edges", frozenset(int(i) for i in self.antiparallel_edges)
-        )
-
-    @classmethod
-    def of(cls, edges: Iterable[int]) -> "RestrictionSet":
-        return cls(frozenset(edges))
-
-    def complement(self, host: Host) -> frozenset[int]:
-        """Indices of the undirected edges required to be parallel."""
-        undirected = getattr(host, "edges", ())
-        return frozenset(range(len(undirected))) - self.antiparallel_edges
 
 
 # ---------------------------------------------------------------------------

@@ -311,11 +311,13 @@ def test_criterion_3_construction_soundness():
         anti_all = RestrictionSet.of(range(m))
         par_all = RestrictionSet.of(())
 
-        if has_strong_trace(g).verdict:
-            check("strong", g, cli.build_trace(g, "strong", None, None), strong=True)
+        free = has_strong_trace(g)
+        if free.verdict:
+            check("strong", g, cli.build_trace(g, "strong", None, None, free), strong=True)
         for d in (1, 2, 3):
-            if has_d_stable_trace(g, d).verdict:
-                check("dstable", g, cli.build_trace(g, "dstable", d, None), d=d)
+            free = has_d_stable_trace(g, d)
+            if free.verdict:
+                check("dstable", g, cli.build_trace(g, "dstable", d, None, free), d=d)
 
         ans = has_antiparallel_strong_trace(g)
         if ans.verdict:

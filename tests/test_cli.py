@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from doubletrace import cli
+from doubletrace import cli, feasibility
 from doubletrace.errors import ParseError
 from doubletrace.graphs import Graph, MixedGraph, Multigraph, complete_graph
 from doubletrace.traces import (
@@ -23,6 +23,7 @@ from doubletrace.traces import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+KERNEL_SLOTS = Path(__file__).parent.parent / "e2ebench" / "kernel_slots.json"
 
 C3_TEXT = "n 3\ne 0 1\ne 1 2\ne 2 0\n"
 K4_TEXT = "n 4 simple\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n"
@@ -385,6 +386,70 @@ class TestConstruct:
         assert doc["outcome"] == "unknown (capacity)"
 
 
+class TestOneTreeSearch:
+    """``construct`` runs the admissible-tree search once per decided query
+    and builds from that verdict's tree.  The one exception is a d-stable
+    verdict whose tree has a degree-bar component that does not split: the
+    build then searches again, with ``accept=``, for a tree that does."""
+
+    # the kernel slot whose verdict's own tree does not split
+    RESEARCHED = "restricted-d1/G(10,20)#4"
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """One entry per tree search: whether it was an ``accept=`` search."""
+        calls = []
+        original = feasibility.find_admissible_tree
+
+        def spy(*args, **kwargs):
+            calls.append("accept" in kwargs)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "find_admissible_tree", None)
+            if name.startswith("doubletrace") and bound is original:
+                monkeypatch.setattr(module, "find_admissible_tree", spy)
+        return calls
+
+    def construct(self, tmp_path, capsys, searches, text, *argv):
+        path = write(tmp_path, "query.g", text)
+        searches.clear()
+        code, _, err = run_cli(capsys, "construct", path, "--jobs", "1", *argv)
+        assert code == 0, err
+        return list(searches)
+
+    def test_kernel_slots(self, tmp_path, capsys, searches):
+        counts = {}
+        for item in json.loads(KERNEL_SLOTS.read_text()):
+            r = item["restriction"]
+            text = cli.render_graph(
+                Graph(item["n"], item["edges"]),
+                None if r is None else RestrictionSet.of(r),
+            )
+            argv = ["--variant", item["variant"]]
+            if item["d"] is not None:
+                argv += ["--d", str(item["d"])]
+            counts[item["slot"]] = self.construct(tmp_path, capsys, searches, text, *argv)
+        assert len(counts) == 16
+        expected = {slot: [False] for slot in counts}
+        expected[self.RESEARCHED] = [False, True]
+        assert counts == expected
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            (K4_STAR_TEXT, ("--variant", "restricted")),
+            (MIXED_TEXT, ()),
+            (W4_TEXT, ("--variant", "antiparallel")),
+            # every degree is odd: the sweep decides antiparallel sets
+            (K4_TEXT, ("--variant", "strong")),
+        ],
+        ids=["restricted", "mixed", "antiparallel", "free-strong"],
+    )
+    def test_one_search_per_query(self, tmp_path, capsys, searches, text, argv):
+        assert self.construct(tmp_path, capsys, searches, text, *argv) == [False]
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -663,17 +728,32 @@ class TestJsonWriter:
         assert cli._json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
-def test_console_script_smoke(tmp_path):
-    # the installed script, else the same entry point run from the source tree
-    exe = shutil.which("doubletrace")
-    cmd = [exe] if exe is not None else [sys.executable, "-m", "doubletrace.cli"]
+def run_entry_point(tmp_path, *cmd):
+    """``check`` on a triangle through a command, with this tree's sources
+    on the path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     path = tmp_path / "c3.g"
     path.write_text(C3_TEXT)
-    proc = subprocess.run(
+    return subprocess.run(
         [*cmd, "check", str(path)], capture_output=True, text=True, env=env
     )
+
+
+def test_console_script_smoke(tmp_path):
+    # the installed script, else the same entry point run from the source tree
+    exe = shutil.which("doubletrace")
+    cmd = [exe] if exe is not None else [sys.executable, "-m", "doubletrace.cli"]
+    proc = run_entry_point(tmp_path, *cmd)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outcome"] == "true"
+
+
+def test_module_entry_point_warns_nothing(tmp_path):
+    # the package must not import ``cli`` itself, or ``-m doubletrace.cli``
+    # finds the module already loaded and warns
+    proc = run_entry_point(
+        tmp_path, sys.executable, "-W", "error::RuntimeWarning", "-m", "doubletrace.cli"
+    )
+    assert proc.returncode == 0, proc.stderr
