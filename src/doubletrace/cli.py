@@ -18,6 +18,8 @@ import sys
 from typing import Optional, Sequence
 
 from .construction import (
+    _free_direction_trace,
+    _restricted_double_trace,
     _restricted_trace,
     antiparallel_strong_trace,
     parallel_strong_trace,
@@ -72,9 +74,6 @@ from .traces import (
 )
 
 VARIANTS = ("strong", "dstable", "parallel", "antiparallel", "restricted", "double")
-
-# free-direction construction sweeps candidate antiparallel sets; 2^m of them
-SWEEP_MAX_EDGES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -141,66 +140,6 @@ def feasibility_answer(
     return has_E_restricted_d_stable_trace(host, r, d)
 
 
-def _free_direction_build(g: Graph, d: Optional[int]) -> DoubleTrace:
-    """Realize a free-direction verdict by fixing a workable antiparallel set.
-
-    Any trace fixes one, so sweeping candidate sets in (size, lex) order is
-    complete.  The fragment left outside the set must be even, which prunes
-    by degree parity before the full test runs.  The empty set needs no
-    sweep and meets the parity target whenever every degree is even, so it
-    is tried before the capacity gate, which bounds only the nonempty sets.
-    Each candidate is decided once and built from that verdict.
-    """
-
-    def build(combo: tuple[int, ...]) -> Optional[DoubleTrace]:
-        r = RestrictionSet.of(combo)
-        if d is None:
-            answer = has_E_restricted_strong_trace(g, r)
-        else:
-            answer = has_E_restricted_d_stable_trace(g, r, d)
-        return _restricted_trace(g, r, d, answer) if answer else None
-
-    target = [g.degree(v) % 2 for v in range(g.vertex_count)]
-    if not any(target):
-        trace = build(())
-        if trace is not None:
-            return trace
-    m = g.edge_count
-    if m > SWEEP_MAX_EDGES:
-        raise CapacityError(
-            f"free-direction construction sweeps antiparallel sets of up to "
-            f"{m} edges; the limit is {SWEEP_MAX_EDGES}"
-        )
-    for k in range(1, m + 1):
-        for combo in itertools.combinations(range(m), k):
-            parity = [0] * g.vertex_count
-            for i in combo:
-                a, b = g.endpoints(i)
-                parity[a] ^= 1
-                parity[b] ^= 1
-            if parity != target:
-                continue
-            trace = build(combo)
-            if trace is not None:
-                return trace
-    raise InternalConsistencyError(
-        "free-direction verdict was positive but no antiparallel set is realizable"
-    )
-
-
-def _oracle_build(
-    host: Host, require_strong: bool, d: int, r: Optional[RestrictionSet]
-) -> DoubleTrace:
-    trace = oracle_find(
-        TraceQuery(host, require_strong=require_strong, d=d, restriction=r)
-    )
-    if trace is None:
-        raise InternalConsistencyError(
-            "verdict was positive but the exhaustive search found no trace"
-        )
-    return trace
-
-
 def build_trace(
     host: Host,
     variant: str,
@@ -218,26 +157,23 @@ def build_trace(
         # the repaired doubled tour is strong, hence d-stable whenever the
         # degree gate passed
         return parallel_strong_trace(host)
-    if variant == "antiparallel":
-        if d is None:
-            return antiparallel_strong_trace(host, answer.certificate)
-        if isinstance(host, Graph):
-            # the antiparallel search runs on the host itself, which is the
-            # quotient when every edge is restricted: same tree, same witnesses
-            return _restricted_trace(host, r, d, answer)
-        return _oracle_build(host, False, d, r)
-    if variant == "restricted":
-        if not isinstance(host, Graph):
-            raise InputError("the restricted variant needs a simple graph or a mixed graph")
-        return _restricted_trace(host, r, d, answer)
     if variant == "double":
-        return _oracle_build(host, False, 0, r)
-    # strong / dstable: directions are free
+        return _restricted_double_trace(host, r)
+    if variant == "antiparallel" and d is None:
+        return antiparallel_strong_trace(host, answer.certificate)
     if isinstance(host, Graph):
-        return _free_direction_build(host, d)
-    if variant == "strong":
-        return _oracle_build(host, True, 0, None)
-    return _oracle_build(host, False, 1 if d is None else d, None)
+        if variant in ("strong", "dstable"):
+            return _free_direction_trace(host)
+        # the antiparallel search runs on the host itself, which is the
+        # quotient when every edge is restricted: same tree, same witnesses
+        return _restricted_trace(host, r, d, answer)
+    # multigraph strong, dstable and d-stable antiparallel: the bounded oracle
+    trace = oracle_find(_query_for(host, variant, d, file_restriction))
+    if trace is None:
+        raise InternalConsistencyError(
+            "verdict was positive but the exhaustive search found no trace"
+        )
+    return trace
 
 
 # ---------------------------------------------------------------------------

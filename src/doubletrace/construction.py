@@ -7,8 +7,10 @@ construction for antiparallel traces with confined repetitions, and the
 full contract/cut/lift/merge/repair pipeline for restricted strong traces.
 d-stable traces certified by a high-degree vertex run the same pipeline
 after splitting that vertex into two halves of at least d + 1 edges each.
-None of them searches for a trace: they are polynomial apart from the
-admissible-tree search that the verdict itself runs.
+Strong traces with free directions run it on a T-join with a tree written
+down, not searched.  None of them searches for a trace: they are
+polynomial apart from the admissible-tree search that the verdict itself
+runs.
 Every operation is a deterministic function of its inputs, so repeated runs
 reproduce the same step sequences byte for byte.
 """
@@ -1143,6 +1145,88 @@ def _restricted_trace(
             host,
         )
     return _assemble_restricted(host, analysis, cert, splits)
+
+
+def _t_join_certificate(g: Graph) -> tuple[RestrictionSet, SpanningTreeCertificate]:
+    """An antiparallel set A that a strong trace of ``g`` can take, with an
+    admissible tree of its quotient, both written down in O(m).
+
+    A is the T-join, T the odd-degree vertices, inside the breadth-first tree
+    from vertex 0 (Edmonds-Johnson 1973): peeling the leaves, a tree edge
+    joins A when the subtree it cuts off holds an odd number of odd vertices,
+    so every degree outside A is even.  The quotient G/(E - A) has exactly A
+    as its edges.  On its simplified graph the edges without a contracted end
+    form a forest.  Those between uncontracted vertices lie in A, which is
+    acyclic, as an uncontracted vertex keeps all its edges in A; every other
+    one ends at a subdivision vertex whose second edge has a contracted end,
+    so it closes no cycle.  Kruskal takes that forest first, so every co-tree
+    edge has a contracted end and every co-tree component is witnessed.  When
+    E - A is empty, G is a tree and there is no co-tree.
+    """
+    n = g.vertex_count
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (a, b) in enumerate(g.edges):
+        adj[a].append((i, b))
+        adj[b].append((i, a))
+    up = [-1] * n  # each vertex's tree edge toward vertex 0
+    order = [0] if n else []
+    for v in order:
+        for i, w in adj[v]:
+            if w and up[w] < 0:
+                up[w] = i
+                order.append(w)
+    odd = [len(a) % 2 for a in adj]
+    anti = []
+    for v in reversed(order[1:]):
+        if odd[v]:
+            anti.append(up[v])
+            odd[sum(g.edges[up[v]]) - v] ^= 1  # v's parent
+    r = RestrictionSet.of(anti)
+    analysis = _restricted_analysis(g, r)
+    h, contracted = analysis.simplified.graph, analysis.witness_on_simplified()
+    parent = list(range(h.vertex_count))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = set()
+    for e in sorted(range(h.edge_count), key=lambda e: any(map(contracted, h.edges[e]))):
+        a, b = find(h.edges[e][0]), find(h.edges[e][1])
+        if a != b:
+            parent[a] = b
+            tree.add(e)
+    co = [i for i in range(h.edge_count) if i not in tree]
+    report = components_with_parity(induced_edge_subgraph(h, co), contracted)
+    return r, SpanningTreeCertificate(h, frozenset(tree), report)
+
+
+def _free_direction_trace(g: Graph) -> DoubleTrace:
+    """A strong trace of ``g`` on its T-join, built without a tree search;
+    it is d-stable whenever every degree exceeds d."""
+    r, cert = _t_join_certificate(g)
+    return _restricted_trace(g, r, None, FeasibilityAnswer(True, certificate=cert))
+
+
+def _restricted_double_trace(host: Host, r: RestrictionSet) -> DoubleTrace:
+    """A double trace with the edges of ``r`` antiparallel and the rest
+    parallel, when every degree outside ``r`` is even.
+
+    Each restricted edge is walked out and back, each component of the
+    other edges by its Euler tour twice over, and the pieces are spliced at
+    shared vertices.  Repetitions are allowed, so no surgery runs.
+    """
+    pieces = [ClosedWalk(host, ((e, 0), (e, 1))) for e in sorted(r.antiparallel_edges)]
+    frag = induced_edge_subgraph(host, r.complement(host))
+    for comp in components_with_parity(frag):
+        tour = euler_tour(induced_edge_subgraph(host, comp.edges))
+        pieces.append(ClosedWalk(host, tour.steps * 2))
+    if not pieces:
+        return DoubleTrace(host, ())
+    merged = _merge_family(pieces, frozenset(range(host.vertex_count)))
+    return DoubleTrace(host, merged.steps)
 
 
 def build_E_restricted_strong_trace(g: Graph, r: RestrictionSet) -> DoubleTrace:

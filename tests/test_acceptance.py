@@ -23,6 +23,7 @@ import pytest
 
 from doubletrace import cli
 from doubletrace.construction import (
+    _t_join_certificate,
     antiparallel_strong_trace,
     build_E_restricted_d_stable_trace,
     build_E_restricted_strong_trace,
@@ -42,6 +43,7 @@ from doubletrace.enumeration import (
 )
 from doubletrace.errors import CapacityError
 from doubletrace.feasibility import (
+    _restricted_analysis,
     find_admissible_tree,
     has_E_restricted_d_stable_trace,
     has_E_restricted_d_stable_trace_mixed,
@@ -314,6 +316,10 @@ def test_criterion_3_construction_soundness():
         free = has_strong_trace(g)
         if free.verdict:
             check("strong", g, cli.build_trace(g, "strong", None, None, free), strong=True)
+            # the free-direction build writes its certificate, unsearched
+            t_join, cert = _t_join_certificate(g)
+            if not cert.revalidate(_restricted_analysis(g, t_join).witness_on_simplified()):
+                failures.append(("t-join-certificate", g.edges, None))
         for d in (1, 2, 3):
             free = has_d_stable_trace(g, d)
             if free.verdict:
@@ -353,14 +359,9 @@ def test_criterion_3_construction_soundness():
                     r=r,
                     strong=True,
                 )
-            if has_E_restricted_double_trace(g, r).verdict:
-                # no structural builder for the plain double variant; the
-                # bounded search realizes these verdicts
-                w = oracle_find(TraceQuery(g, restriction=r))
-                if w is None:
-                    failures.append(("double-missing", g.edges, None))
-                else:
-                    check("double", g, w, r=r)
+            ans = has_E_restricted_double_trace(g, r)
+            if ans.verdict:
+                check("double", g, cli.build_trace(g, "double", None, r, ans), r=r)
             for d in (1, 2):
                 if has_E_restricted_d_stable_trace(g, r, d).verdict:
                     check(
@@ -395,6 +396,10 @@ def test_criterion_4_tetrahedron_showcase():
         assert out1 == (GOLDEN / "cli_k4_strong_construct.json").read_text()
 
         doc = json.loads(out1)
+        # the T-join of K4's breadth-first tree, the star at 0, is the star
+        # restriction below
+        star_doc = json.loads((GOLDEN / "cli_k4_star_construct.json").read_text())
+        assert doc == dict(star_doc, variant="strong")
         steps = tuple((s["edge"], s["flag"]) for s in doc["steps"])
         assert len(steps) == 12
         w = DoubleTrace(K4, steps)
@@ -629,7 +634,8 @@ def test_criterion_8_capacity_honesty():
     with pytest.raises(CapacityError):
         mixed_cut_condition(wide_mixed)
 
-    # the CLI reports capacity as its own outcome and exit code
+    # the CLI reports capacity as its own outcome and exit code; 18 edges
+    # are past the enumeration oracle's gate
     chords = tuple((i, i + 4) for i in range(7))
     big = Graph(12, tuple((i, i + 1) for i in range(11)) + chords)
     assert big.edge_count == 18
@@ -637,6 +643,6 @@ def test_criterion_8_capacity_honesty():
         p = os.path.join(tmp, "big.txt")
         with open(p, "w") as fh:
             fh.write(cli.render_graph(big))
-        code, out, _ = run_cli(["construct", p])
+        code, out, _ = run_cli(["enumerate", p])
         assert code == 3
         assert json.loads(out)["outcome"] == "unknown (capacity)"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from doubletrace import cli, feasibility
+from doubletrace import cli, construction, feasibility, search_backend
 from doubletrace.errors import ParseError
 from doubletrace.graphs import Graph, MixedGraph, Multigraph, complete_graph
 from doubletrace.traces import (
@@ -29,6 +30,9 @@ C3_TEXT = "n 3\ne 0 1\ne 1 2\ne 2 0\n"
 K4_TEXT = "n 4 simple\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n"
 K4_STAR_TEXT = K4_TEXT + "E 0 1 2\n"
 PRISM_TEXT = "n 6\ne 0 1\ne 1 2\ne 2 0\ne 3 4\ne 4 5\ne 5 3\ne 0 3\ne 1 4\ne 2 5\n"
+PENTAGONAL_PRISM_TEXT = "n 10\n" + "".join(
+    f"e {i} {(i + 1) % 5}\ne {i + 5} {(i + 1) % 5 + 5}\n" for i in range(5)
+) + "".join(f"e {i} {i + 5}\n" for i in range(5))
 W4_TEXT = "n 5\ne 0 1\ne 1 2\ne 2 3\ne 3 0\ne 0 4\ne 1 4\ne 2 4\ne 3 4\n"
 LOOP_TEXT = "n 3 multi\ne 0 1\ne 1 2\ne 2 0\ne 0 0\n"
 MIXED_TEXT = "n 4 mixed\ne 0 1\ne 1 2\ne 2 3\ne 3 0\ne 0 2\na 1 3\nE 0 2\n"
@@ -264,6 +268,50 @@ def steps_of(doc):
     return tuple((s["edge"], s["flag"]) for s in doc["steps"])
 
 
+def seeded_cubic(n, seed):
+    """A Hamiltonian cycle through a shuffled vertex order plus a random
+    perfect matching that avoids its edges: connected and 3-regular."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    cycle = {frozenset((order[i - 1], order[i])) for i in range(n)}
+    while True:
+        rng.shuffle(order)
+        matching = {frozenset(order[i : i + 2]) for i in range(0, n, 2)}
+        if cycle.isdisjoint(matching):
+            return Graph(n, sorted(tuple(sorted(e)) for e in cycle | matching))
+
+
+# a path plus chords i-(i+4): 12 vertices, 18 edges, odd degrees, and vertex
+# 11 of degree 1, so no d-stable trace
+CRITERION_8 = Graph(12, [(i, i + 1) for i in range(11)] + [(i, i + 4) for i in range(7)])
+FREE_VARIANTS = [((), None), (("--variant", "dstable"), 1), (("--variant", "dstable", "--d", "2"), 2)]
+FREE_IDS = ["strong", "dstable", "dstable-d2"]
+
+
+def assert_free_build(tmp_path, capsys, monkeypatch, g, argv, d):
+    """``construct`` answers within a second, without a tree search or the
+    kernel, with a strong trace, or a d-stable one where the degrees allow."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("free-direction construction searched")
+
+    monkeypatch.setattr(search_backend, "run", refuse)
+    for module in (feasibility, construction):
+        monkeypatch.setattr(module, "find_admissible_tree", refuse)
+    path = write(tmp_path, "free.g", cli.render_graph(g))
+    start = time.perf_counter()
+    code, doc, err = run_json(capsys, "construct", path, *argv)
+    assert time.perf_counter() - start < 1.0
+    if d is not None and g.min_degree() <= d:
+        assert (code, doc["outcome"]) == (1, "infeasible")
+        return
+    assert code == 0, err
+    walk = DoubleTrace(g, steps_of(doc))
+    assert validate_double_trace(walk).ok
+    assert is_strong(walk) if d is None else is_d_stable(walk, d)
+
+
 class TestConstruct:
     def test_c3_parallel_six_steps(self, tmp_path, capsys):
         path = write(tmp_path, "c3.g", C3_TEXT)
@@ -357,6 +405,17 @@ class TestConstruct:
         assert out.count("->") == 6
         assert 'label="e0 s0"' in out
 
+    def test_double_pentagonal_prism(self, tmp_path, capsys):
+        # the spokes are antiparallel, the two rims parallel
+        text = PENTAGONAL_PRISM_TEXT + "E 10 11 12 13 14\n"
+        path = write(tmp_path, "prism.g", text)
+        code, doc, err = run_json(capsys, "construct", path, "--variant", "double")
+        assert code == 0, err
+        g, r = cli.parse_graph(text)
+        walk = DoubleTrace(g, steps_of(doc))
+        assert validate_double_trace(walk).ok
+        assert check_restriction(walk, r)
+
     @pytest.mark.parametrize(
         "g",
         [
@@ -365,32 +424,29 @@ class TestConstruct:
         ],
         ids=["K7", "C10(1,2)"],
     )
-    @pytest.mark.parametrize("dstable", [False, True], ids=["strong", "dstable"])
-    def test_even_degrees_past_the_sweep_gate(self, tmp_path, capsys, g, dstable):
-        # more edges than the sweep allows, but the empty antiparallel set fits
-        assert g.edge_count > cli.SWEEP_MAX_EDGES
-        path = write(tmp_path, "even.g", cli.render_graph(g))
-        argv = ("--variant", "dstable") if dstable else ()
-        code, doc, _ = run_json(capsys, "construct", path, *argv)
-        assert code == 0
-        walk = DoubleTrace(g, steps_of(doc))
-        assert validate_double_trace(walk).ok
-        assert is_d_stable(walk, 1) if dstable else is_strong(walk)
+    @pytest.mark.parametrize("argv, d", FREE_VARIANTS, ids=FREE_IDS)
+    def test_even_degrees_past_the_sweep_gate(self, tmp_path, capsys, monkeypatch, g, argv, d):
+        # more than 16 edges; the empty antiparallel set fits
+        assert_free_build(tmp_path, capsys, monkeypatch, g, argv, d)
 
-    def test_sweep_capacity_exit_3(self, tmp_path, capsys):
-        edges = [(i, i + 1) for i in range(11)] + [(i, i + 4) for i in range(7)]
-        text = "n 12\n" + "".join(f"e {u} {v}\n" for u, v in edges)
-        path = write(tmp_path, "big.g", text)
-        code, doc, _ = run_json(capsys, "construct", path)
-        assert code == 3
-        assert doc["outcome"] == "unknown (capacity)"
+    @pytest.mark.parametrize(
+        "g",
+        [CRITERION_8, complete_graph(12), seeded_cubic(40, 1), seeded_cubic(200, 2)],
+        ids=["criterion8", "K12", "cubic40", "cubic200"],
+    )
+    @pytest.mark.parametrize("argv, d", FREE_VARIANTS, ids=FREE_IDS)
+    def test_odd_degrees_past_the_sweep_gate(self, tmp_path, capsys, monkeypatch, g, argv, d):
+        # K12 and the cubic graphs are past the tree-search gates too: the
+        # antiparallel set is a T-join and its certificate is written down
+        assert_free_build(tmp_path, capsys, monkeypatch, g, argv, d)
 
 
 class TestOneTreeSearch:
     """``construct`` runs the admissible-tree search once per decided query
     and builds from that verdict's tree.  The one exception is a d-stable
     verdict whose tree has a degree-bar component that does not split: the
-    build then searches again, with ``accept=``, for a tree that does."""
+    build then searches again, with ``accept=``, for a tree that does.  A
+    free-direction query searches no tree at all."""
 
     # the kernel slot whose verdict's own tree does not split
     RESEARCHED = "restricted-d1/G(10,20)#4"
@@ -436,18 +492,18 @@ class TestOneTreeSearch:
         assert counts == expected
 
     @pytest.mark.parametrize(
-        "text, argv",
+        "text, argv, expected",
         [
-            (K4_STAR_TEXT, ("--variant", "restricted")),
-            (MIXED_TEXT, ()),
-            (W4_TEXT, ("--variant", "antiparallel")),
-            # every degree is odd: the sweep decides antiparallel sets
-            (K4_TEXT, ("--variant", "strong")),
+            (K4_STAR_TEXT, ("--variant", "restricted"), [False]),
+            (MIXED_TEXT, (), [False]),
+            (W4_TEXT, ("--variant", "antiparallel"), [False]),
+            # every degree is odd: the T-join's certificate is written down
+            (K4_TEXT, ("--variant", "strong"), []),
         ],
         ids=["restricted", "mixed", "antiparallel", "free-strong"],
     )
-    def test_one_search_per_query(self, tmp_path, capsys, searches, text, argv):
-        assert self.construct(tmp_path, capsys, searches, text, *argv) == [False]
+    def test_one_search_per_query(self, tmp_path, capsys, searches, text, argv, expected):
+        assert self.construct(tmp_path, capsys, searches, text, *argv) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ from doubletrace.construction import (
     OpenWalk,
     WalkFamily,
     _balanced_split,
+    _free_direction_trace,
+    _restricted_double_trace,
+    _t_join_certificate,
     antiparallel_double_trace_with_repetitions_in,
     antiparallel_strong_trace,
     build_E_restricted_d_stable_trace,
@@ -35,6 +38,7 @@ from doubletrace.feasibility import (
     find_admissible_tree,
     has_antiparallel_strong_trace,
     has_E_restricted_d_stable_trace,
+    has_E_restricted_double_trace,
     has_E_restricted_d_stable_trace_mixed,
     has_E_restricted_strong_trace,
     has_E_restricted_strong_trace_mixed,
@@ -351,6 +355,26 @@ class TestMergeClosedWalks:
                     return
         assert count >= 60
 
+    def test_seeded_multigraph_double_traces(self):
+        # loops and parallel edges on both sides of the restriction; the
+        # build runs no surgery, which would stall at a loop
+        rng = random.Random(1973)
+        built = loops = 0
+        while built < 200:
+            n = rng.randint(1, 6)
+            edges = [(rng.randrange(k), k) for k in range(1, n)]
+            edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 6))]
+            g = Multigraph(n, edges)
+            r = RestrictionSet.of(i for i in range(len(edges)) if rng.random() < 0.5)
+            if not has_E_restricted_double_trace(g, r):
+                continue
+            w = _restricted_double_trace(g, r)
+            assert validate_double_trace(w).ok
+            assert check_restriction(w, r)
+            built += 1
+            loops += any(a == b for a, b in edges)
+        assert loops > 100
+
 
 class TestReduceRepetition:
     def doubled(self, g):
@@ -638,6 +662,18 @@ class TestRestrictedStrongPipeline:
                 assert validate_double_trace(w).ok
                 assert is_strong(w)
                 assert check_restriction(w, r)
+
+    def test_t_join_tree_takes_the_forest_first(self):
+        # the T-join leaves the triangle 1-3-5 to contract; in plain index
+        # order edge 4-6 would close a cycle through it and leave the tree
+        # with no contracted end
+        g = Graph(7, [(0, 6), (1, 2), (1, 3), (1, 5), (2, 6), (3, 5), (4, 5), (4, 6)])
+        r, cert = _t_join_certificate(g)
+        assert r.antiparallel_edges == {0, 1, 4, 6, 7}
+        assert cert.revalidate(_restricted_analysis(g, r).witness_on_simplified())
+        w = _free_direction_trace(g)
+        assert validate_double_trace(w).ok
+        assert is_strong(w)
 
     def test_deterministic(self):
         w1 = build_E_restricted_strong_trace(K4, K4_STAR)
