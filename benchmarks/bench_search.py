@@ -1,4 +1,5 @@
-"""Time the exhaustive search kernel on fixed workloads.
+"""Time the exhaustive search kernel on fixed workloads, and the folding
+of its enumeration output into symmetry classes.
 
 Run from the repository root:
 
@@ -10,7 +11,8 @@ import statistics
 import time
 
 from doubletrace import search_backend
-from doubletrace.graphs import Graph, complete_graph, cycle_graph
+from doubletrace.enumeration import fold_classes
+from doubletrace.graphs import Graph, automorphisms, complete_graph, cycle_graph
 from doubletrace.search_backend import (
     ANTI,
     FREE,
@@ -84,6 +86,17 @@ CASES = [
 ]
 
 
+# fold_classes over the fixed-start sequences of the enumeration cases above,
+# under the full automorphism group, so the fold layer is timed next to the
+# kernel that feeds it
+FOLD_CASES = [
+    ("W4 strong fold", WHEEL4, {"require_strong": True}),
+    ("W4 1-stable fold", WHEEL4, {"d_max": 1}),
+    ("K4+ear strong fold", K4_EAR, {"require_strong": True}),
+    ("K4+ear 1-stable fold", K4_EAR, {"d_max": 1}),
+]
+
+
 def bench(g, labels, kw, repeat):
     n, ea, eb = lower(g)
     times = []
@@ -93,6 +106,19 @@ def bench(g, labels, kw, repeat):
         result = search_backend.run(n, ea, eb, list(labels), **kw)
         times.append(time.perf_counter() - t0)
     return statistics.median(times), result
+
+
+def bench_fold(g, kw, repeat):
+    n, ea, eb = lower(g)
+    sequences = search_backend.run(n, ea, eb, [FREE] * len(ea), mode=MODE_ENUM_FIXED, **kw)
+    auts = automorphisms(g)
+    times = []
+    classes = None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        classes = fold_classes(g, sequences, auts)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), len(sequences), len(classes)
 
 
 def summarize(result, mode):
@@ -114,6 +140,9 @@ def main():
     for name, g, labels, kw in CASES:
         t, result = bench(g, labels, kw, args.repeat)
         print(f"{name:<28} {t * 1e3:>8.1f}ms  {summarize(result, kw['mode'])}")
+    for name, g, kw in FOLD_CASES:
+        t, sequences, classes = bench_fold(g, kw, args.repeat)
+        print(f"{name:<28} {t * 1e3:>8.1f}ms  sequences={sequences} classes={classes}")
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .construction import (
 )
 from .enumeration import (
     TraceQuery,
+    _fold,
     _step_tables,
     enumerate_classes,
     fixed_start_sequences,
@@ -189,8 +190,11 @@ def _json_text(doc) -> str:
     documents with string keys.  With an indent the standard library uses
     its pure-Python encoder; this writer does the same work in joins, and
     renders the step records, flat dicts of ints, from one template per
-    key set and depth."""
+    key set and depth.  A record object that lists hold many times, as the
+    steps of traces share theirs, is rendered once per depth."""
     forms: dict[tuple[tuple[str, ...], str], str] = {}
+    # keyed by id: the document keeps every object alive until we return
+    records: dict[tuple[int, str], str] = {}
 
     def text(obj, pad: str) -> str:
         if type(obj) is str:
@@ -211,13 +215,15 @@ def _json_text(doc) -> str:
                 if form is None:
                     body = sep.join([_quote(k).replace("%", "%%") + ": %d" for k in keys])
                     form = forms[keys, pad] = "{" + inner + body + pad + "}"
-                return form % tuple([obj[k] for k in keys])
+                record = records[id(obj), pad] = form % tuple([obj[k] for k in keys])
+                return record
             body = sep.join([_quote(k) + ": " + text(v, inner) for k, v in sorted(obj.items())])
             return "{" + inner + body + pad + "}"
         if isinstance(obj, (list, tuple)):
             if not obj:
                 return "[]"
-            return "[" + inner + sep.join([text(v, inner) for v in obj]) + pad + "]"
+            items = [records.get((id(v), inner)) or text(v, inner) for v in obj]
+            return "[" + inner + sep.join(items) + pad + "]"
         return json.dumps(obj)  # floats and other scalars
 
     return text(doc, "\n")
@@ -267,13 +273,21 @@ def _answer_json(
     }
 
 
-def _steps_json(host: Host, steps: Sequence[tuple[int, int]]):
-    out = []
-    for e, f in steps:
+def _step_records(host: Host) -> dict[tuple[int, int], dict[str, int]]:
+    """The JSON record of every step ``(e, f)`` of the host, one object per
+    step that every trace taking it shares."""
+    records = {}
+    for e in range(host.edge_count):
         a, b = host.endpoints(e)
-        tail, head = (a, b) if f == 0 else (b, a)
-        out.append({"edge": e, "flag": f, "from": tail, "to": head})
-    return out
+        records[e, 0] = {"edge": e, "flag": 0, "from": a, "to": b}
+        records[e, 1] = {"edge": e, "flag": 1, "from": b, "to": a}
+    return records
+
+
+def _steps_json(
+    records: dict[tuple[int, int], dict[str, int]], steps: Sequence[tuple[int, int]]
+) -> list[dict[str, int]]:
+    return list(map(records.__getitem__, steps))
 
 
 def _direction_labels(walk: ClosedWalk) -> list[str]:
@@ -289,7 +303,7 @@ def _trace_json(walk: DoubleTrace, variant: str):
         "directions": _direction_labels(walk),
         "length": len(walk.steps),
         "outcome": "trace",
-        "steps": _steps_json(walk.host, walk.steps),
+        "steps": _steps_json(_step_records(walk.host), walk.steps),
         "variant": variant,
     }
 
@@ -378,8 +392,8 @@ def _restriction_size_sweep(
     restriction per orbit, the first in combination order, is searched."""
     if not (0 <= p <= g.edge_count):
         raise InputError(f"--p must be between 0 and {g.edge_count}")
-    auts = automorphisms(g)
-    edge_maps = [[c >> 1 for c in table[::2]] for table in _step_tables(g, auts)]
+    tables = _step_tables(g, automorphisms(g))
+    edge_maps = [[c >> 1 for c in table[::2]] for table in tables]
     seen: set[frozenset[int]] = set()
     work = []
     for combo in itertools.combinations(range(g.edge_count), p):
@@ -395,7 +409,7 @@ def _restriction_size_sweep(
             batches = pool.map(_sweep_job, work)
     else:
         batches = [_sweep_job(item) for item in work]
-    return fold_classes(g, itertools.chain.from_iterable(batches), auts)
+    return _fold(g, itertools.chain.from_iterable(batches), tables)
 
 
 def _cmd_enumerate(args) -> int:
@@ -424,16 +438,17 @@ def _cmd_enumerate(args) -> int:
         "p": args.p,
         "variant": variant,
     }
+    records = _step_records(host)
     if args.classes:
         doc["outcome"] = "classes"
         doc["classes"] = [
-            {"size": s, "steps": _steps_json(host, rep)}
+            {"size": s, "steps": _steps_json(records, rep)}
             for rep, s in zip(reps, sizes)
         ]
         doc["raw_total"] = sum(sizes)
     else:
         doc["outcome"] = "traces"
-        doc["traces"] = [_steps_json(host, rep) for rep in reps]
+        doc["traces"] = [_steps_json(records, rep) for rep in reps]
     _emit(doc)
     return 0 if reps else 1
 

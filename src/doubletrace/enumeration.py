@@ -161,10 +161,16 @@ def _step_tables(host: Host, auts: tuple[tuple[int, ...], ...]) -> list[list[int
     return tables
 
 
-def _least_rotation(seq: Codes) -> Codes:
-    # it starts at the least code, which a double trace holds at most twice
-    low = min(seq, default=0)
-    return min((seq[i:] + seq[:i] for i, c in enumerate(seq) if c == low), default=seq)
+def _rotations_at(seq: Codes, starts: tuple[int, ...]) -> list[Codes]:
+    """Every rotation of ``seq`` that starts with a code in ``starts``,
+    however often each occurs."""
+    rotations = []
+    for c in starts:
+        i = -1
+        for _ in range(seq.count(c)):
+            i = seq.index(c, i + 1)
+            rotations.append(seq[i:] + seq[:i])
+    return rotations
 
 
 def _period(seq: Codes) -> int:
@@ -172,18 +178,52 @@ def _period(seq: Codes) -> int:
     return next((p for p in range(1, n) if n % p == 0 and seq[p:] + seq[:p] == seq), n or 1)
 
 
+def _translate(codes: tuple[int, ...], table: list[int]) -> tuple[int, ...]:
+    """bytes.translate for tuples of codes."""
+    return tuple(map(table.__getitem__, codes))
+
+
 def _orbit_images(
-    tables: list[list[int]], codes: Codes, reversal: bool
+    maps: list[tuple[bool, bytes | list[int]]], codes: Codes, apply
 ) -> list[Codes]:
-    """The sequence under every relabeling, and reversed when allowed."""
-    pack = type(codes)
-    images = []
-    for table in tables:
-        image = pack([table[c] for c in codes])
-        images.append(image)
-        if reversal:
-            images.append(pack([c ^ 1 for c in reversed(image)]))
-    return images
+    """The sequence under every relabeling, and reversed when allowed: each
+    image is one ``apply`` of a step table to the codes or their reversal."""
+    back = codes[::-1]
+    return [apply(back if reverse else codes, table) for reverse, table in maps]
+
+
+def _fold(
+    host: Host, sequences: Iterable[Sequence[Step]], tables: list[list[int]]
+) -> list[tuple[tuple[Step, ...], int]]:
+    """fold_classes over the step tables of the relabelings."""
+    maps = [(False, t) for t in tables]
+    if not any(host.is_arc(i) for i in range(host.edge_count)):
+        # reversal flips every step as well: code c becomes c ^ 1
+        maps += [(True, [c ^ 1 for c in t]) for t in tables]
+    if host.edge_count <= 128:
+        # bytes order like tuples of codes below 256, take a third the
+        # memory and relabel in one call; translate tables have 256 entries
+        pack, apply = bytes, bytes.translate
+        maps = [(reverse, bytes(t).ljust(256)) for reverse, t in maps]
+    else:
+        pack, apply = tuple, _translate
+    sizes: dict[Codes, int] = {}
+    covered: set[Codes] = set()
+    for steps in sequences:
+        codes = pack([2 * e + f for e, f in steps])
+        if codes in covered:
+            continue
+        least = set()
+        for image in _orbit_images(maps, codes, apply):
+            # the members of the class that start with edge 0; whenever edge
+            # 0 occurs, one of them is the image's least rotation
+            head = _rotations_at(image, (0, 1))
+            covered.update(head)
+            rotations = head or _rotations_at(image, (min(image, default=0),))
+            least.add(min(rotations, default=image))
+        canon = min(least)
+        sizes.setdefault(canon, len(least) * _period(canon))
+    return [(tuple((c >> 1, c & 1) for c in canon), sizes[canon]) for canon in sorted(sizes)]
 
 
 def fold_classes(
@@ -201,25 +241,7 @@ def fold_classes(
     if auts is None:
         simple = isinstance(host, Graph)
         auts = automorphisms(host) if simple else (tuple(range(host.vertex_count)),)
-    tables = _step_tables(host, auts)
-    reversal = not any(host.is_arc(i) for i in range(host.edge_count))
-    sizes: dict[Codes, int] = {}
-    covered: set[Codes] = set()
-    # bytes order like tuples of codes below 256 and take a third the memory
-    pack = bytes if host.edge_count <= 128 else tuple
-    for steps in sequences:
-        codes = pack([2 * e + f for e, f in steps])
-        if codes in covered:
-            continue
-        images = _orbit_images(tables, codes, reversal)
-        least = {_least_rotation(image) for image in images}
-        canon = min(least)
-        if canon in sizes:
-            continue
-        sizes[canon] = len(least) * _period(canon)
-        for image in images:
-            covered.update(image[i:] + image[:i] for i, c in enumerate(image) if c < 2)
-    return [(tuple((c >> 1, c & 1) for c in canon), sizes[canon]) for canon in sorted(sizes)]
+    return _fold(host, sequences, _step_tables(host, auts))
 
 
 def canonical_form(
@@ -267,13 +289,12 @@ def enumerate_classes(
     if not isinstance(host, Graph):
         raise InputError("class enumeration expects a simple undirected host")
     sequences = fixed_start_sequences(query, max_edges=max_edges)
-    auts = automorphisms(host)
+    tables = _step_tables(host, automorphisms(host))
     if query.restriction is not None:
         # only relabelings that fix the restricted edge set are symmetries
         anti = query.restriction.antiparallel_edges
-        images = zip(auts, _step_tables(host, auts))
-        auts = tuple(p for p, t in images if {t[2 * i] >> 1 for i in anti} == anti)
+        tables = [t for t in tables if {t[2 * i] >> 1 for i in anti} == anti]
     return [
         EquivalenceClass(canon, size, DoubleTrace(host, canon))
-        for canon, size in fold_classes(host, sequences, auts)
+        for canon, size in _fold(host, sequences, tables)
     ]

@@ -751,6 +751,12 @@ class TestGolden:
         assert is_d_stable(walk, 1)
 
 
+# one record and one nested object, each held many times and at two depths,
+# as enumerate's trace steps share their records
+SHARED_RECORD = {"edge": 2, "flag": 1, "from": 4, "to": 3}
+SHARED_NESTED = {"steps": [SHARED_RECORD, SHARED_RECORD], "size": 2}
+
+
 class TestJsonWriter:
     """The writer behind every JSON answer gives the bytes of
     json.dumps(obj, indent=2, sort_keys=True)."""
@@ -769,6 +775,9 @@ class TestJsonWriter:
          "text": "Gradišar — β ☃ \U0001f600", "": ""},
         {"outer": {"inner": [{"a": 1, "b": [None, "s"]}, {"c": {"d": {}}}]}},
         ("tuple", 7, ("nested", None)),
+        [SHARED_RECORD] * 5 + [[SHARED_RECORD, [SHARED_RECORD]], {"r": SHARED_RECORD}],
+        {"classes": [SHARED_NESTED] * 3, "deeper": [[SHARED_NESTED, SHARED_RECORD]],
+         "record": SHARED_RECORD, "steps": [SHARED_RECORD] * 4},
         "bare string",
         12,
         None,

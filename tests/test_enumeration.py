@@ -30,9 +30,11 @@ from doubletrace.graphs import (
     path_graph,
 )
 from doubletrace.traces import (
+    ClosedWalk,
     DoubleTrace,
     RestrictionSet,
     check_restriction,
+    closed_walk_problems,
     is_d_stable,
     is_strong,
     validate_double_trace,
@@ -313,6 +315,50 @@ class TestFoldMatchesOrbitSets:
             traces = enumerate_fixed_start(q)
             expected = reference_classes(host, traces, auts or ident)
             assert fold_classes(host, (t.steps for t in traces), auts) == expected
+
+    def test_tuple_codes_past_128_edges(self, monkeypatch):
+        # codes 2e + f pass 255 here, so fold relabels tuples, not bytes
+        n, k = 131, 40
+        ring = cycle_graph(n)
+        out_and_back = (
+            [(e, 0) for e in range(k)] + [(e, 1) for e in reversed(range(k))]
+            + [(e, 1) for e in reversed(range(k, n))] + [(e, 0) for e in range(k, n)]
+        )
+        twice_round = [(e, 0) for e in range(n)] * 2
+        # automorphisms() stops at 10 vertices: the identity and a reflection
+        auts = (tuple(range(n)), tuple(-v % n for v in range(n)))
+        translated = []
+        translate = enumeration._translate
+        monkeypatch.setattr(
+            enumeration, "_translate", lambda *a: translated.append(1) or translate(*a)
+        )
+        for steps in (out_and_back, twice_round):
+            w = DoubleTrace(ring, tuple(steps))
+            assert validate_double_trace(w).ok
+            orbit = reference_orbit(ring, w.steps, auts, True)
+            assert canonical_form(w, auts) == min(orbit)
+            assert orbit_size(w, auts) == len(orbit)
+        assert translated
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            # edge 0 forward five times, with no rotation symmetry
+            ((0, 0), (0, 1), (0, 0), (1, 0), (2, 0), (0, 0),
+             (0, 1), (0, 0), (1, 0), (1, 1), (1, 0), (2, 0)),
+            # no edge 0 at all; edge 1 forward three times
+            ((1, 0), (2, 0), (2, 1), (1, 1), (1, 0),
+             (1, 1), (1, 0), (2, 0), (2, 1), (1, 1)),
+        ],
+    )
+    def test_closed_walks_that_repeat_the_least_code(self, steps):
+        # canonical_form takes any closed walk, not only double traces
+        w = ClosedWalk(C3, steps)
+        assert closed_walk_problems(w) == []
+        for auts in (automorphisms(C3), ((0, 1, 2),)):
+            orbit = reference_orbit(C3, w.steps, auts, True)
+            assert canonical_form(w, auts) == min(orbit)
+            assert orbit_size(w, auts) == len(orbit)
 
     def test_empty_trace(self):
         w = DoubleTrace(Graph(1, []), ())
