@@ -190,8 +190,8 @@ def _json_text(doc) -> str:
     documents with string keys.  With an indent the standard library uses
     its pure-Python encoder; this writer does the same work in joins, and
     renders the step records, flat dicts of ints, from one template per
-    key set and depth.  A record object that lists hold many times, as the
-    steps of traces share theirs, is rendered once per depth."""
+    key set and depth.  A record object the document holds many times, as
+    the steps of traces share theirs, is rendered once per depth."""
     forms: dict[tuple[tuple[str, ...], str], str] = {}
     # keyed by id: the document keeps every object alive until we return
     records: dict[tuple[int, str], str] = {}
@@ -208,6 +208,9 @@ def _json_text(doc) -> str:
         if isinstance(obj, dict):
             if not obj:
                 return "{}"
+            record = records.get((id(obj), pad))
+            if record is not None:
+                return record
             # type(v) is int keeps True and False out of %d
             if all(type(v) is int for v in obj.values()):
                 keys = tuple(sorted(obj))
@@ -222,8 +225,7 @@ def _json_text(doc) -> str:
         if isinstance(obj, (list, tuple)):
             if not obj:
                 return "[]"
-            items = [records.get((id(v), inner)) or text(v, inner) for v in obj]
-            return "[" + inner + sep.join(items) + pad + "]"
+            return "[" + inner + sep.join([text(v, inner) for v in obj]) + pad + "]"
         return json.dumps(obj)  # floats and other scalars
 
     return text(doc, "\n")
@@ -284,12 +286,6 @@ def _step_records(host: Host) -> dict[tuple[int, int], dict[str, int]]:
     return records
 
 
-def _steps_json(
-    records: dict[tuple[int, int], dict[str, int]], steps: Sequence[tuple[int, int]]
-) -> list[dict[str, int]]:
-    return list(map(records.__getitem__, steps))
-
-
 def _direction_labels(walk: ClosedWalk) -> list[str]:
     labels = list(classify_directions(walk))
     for i in range(walk.host.edge_count):
@@ -299,11 +295,12 @@ def _direction_labels(walk: ClosedWalk) -> list[str]:
 
 
 def _trace_json(walk: DoubleTrace, variant: str):
+    records = _step_records(walk.host)
     return {
         "directions": _direction_labels(walk),
         "length": len(walk.steps),
         "outcome": "trace",
-        "steps": _steps_json(_step_records(walk.host), walk.steps),
+        "steps": [records[s] for s in walk.steps],
         "variant": variant,
     }
 
@@ -442,13 +439,13 @@ def _cmd_enumerate(args) -> int:
     if args.classes:
         doc["outcome"] = "classes"
         doc["classes"] = [
-            {"size": s, "steps": _steps_json(records, rep)}
+            {"size": s, "steps": [records[step] for step in rep]}
             for rep, s in zip(reps, sizes)
         ]
         doc["raw_total"] = sum(sizes)
     else:
         doc["outcome"] = "traces"
-        doc["traces"] = [_steps_json(records, rep) for rep in reps]
+        doc["traces"] = [[records[step] for step in rep] for rep in reps]
     _emit(doc)
     return 0 if reps else 1
 
