@@ -193,8 +193,9 @@ def _json_text(doc) -> str:
     key set and depth.  A record object the document holds many times, as
     the steps of traces share theirs, is rendered once per depth."""
     forms: dict[tuple[tuple[str, ...], str], str] = {}
-    # keyed by id: the document keeps every object alive until we return
-    records: dict[tuple[int, str], str] = {}
+    # rendered records per depth, keyed by id: the document keeps every
+    # object alive until we return
+    records: dict[str, dict[int, str]] = {}
 
     def text(obj, pad: str) -> str:
         if type(obj) is str:
@@ -208,9 +209,6 @@ def _json_text(doc) -> str:
         if isinstance(obj, dict):
             if not obj:
                 return "{}"
-            record = records.get((id(obj), pad))
-            if record is not None:
-                return record
             # type(v) is int keeps True and False out of %d
             if all(type(v) is int for v in obj.values()):
                 keys = tuple(sorted(obj))
@@ -218,14 +216,21 @@ def _json_text(doc) -> str:
                 if form is None:
                     body = sep.join([_quote(k).replace("%", "%%") + ": %d" for k in keys])
                     form = forms[keys, pad] = "{" + inner + body + pad + "}"
-                record = records[id(obj), pad] = form % tuple([obj[k] for k in keys])
+                record = form % tuple([obj[k] for k in keys])
+                records.setdefault(pad, {})[id(obj)] = record
                 return record
             body = sep.join([_quote(k) + ": " + text(v, inner) for k, v in sorted(obj.items())])
             return "{" + inner + body + pad + "}"
         if isinstance(obj, (list, tuple)):
             if not obj:
                 return "[]"
-            return "[" + inner + sep.join([text(v, inner) for v in obj]) + pad + "]"
+            if type(obj[0]) is dict:
+                # a list of records, as trace steps are, may hold one many times
+                done = records.setdefault(inner, {})
+                items = [done.get(id(v)) or text(v, inner) for v in obj]
+            else:
+                items = [text(v, inner) for v in obj]
+            return "[" + inner + sep.join(items) + pad + "]"
         return json.dumps(obj)  # floats and other scalars
 
     return text(doc, "\n")
@@ -275,15 +280,21 @@ def _answer_json(
     }
 
 
-def _step_records(host: Host) -> dict[tuple[int, int], dict[str, int]]:
-    """The JSON record of every step ``(e, f)`` of the host, one object per
-    step that every trace taking it shares."""
-    records = {}
+def _step_records(host: Host) -> list[dict[str, int]]:
+    """The JSON record of every step code ``2e + f`` of the host, one object
+    per step that every trace taking it shares."""
+    records = []
     for e in range(host.edge_count):
         a, b = host.endpoints(e)
-        records[e, 0] = {"edge": e, "flag": 0, "from": a, "to": b}
-        records[e, 1] = {"edge": e, "flag": 1, "from": b, "to": a}
+        records += ({"edge": e, "flag": 0, "from": a, "to": b},
+                    {"edge": e, "flag": 1, "from": b, "to": a})
     return records
+
+
+def _steps_json(
+    records: list[dict[str, int]], steps: Sequence[tuple[int, int]]
+) -> list[dict[str, int]]:
+    return [records[2 * e + f] for e, f in steps]
 
 
 def _direction_labels(walk: ClosedWalk) -> list[str]:
@@ -295,12 +306,11 @@ def _direction_labels(walk: ClosedWalk) -> list[str]:
 
 
 def _trace_json(walk: DoubleTrace, variant: str):
-    records = _step_records(walk.host)
     return {
         "directions": _direction_labels(walk),
         "length": len(walk.steps),
         "outcome": "trace",
-        "steps": [records[s] for s in walk.steps],
+        "steps": _steps_json(_step_records(walk.host), walk.steps),
         "variant": variant,
     }
 
@@ -439,13 +449,13 @@ def _cmd_enumerate(args) -> int:
     if args.classes:
         doc["outcome"] = "classes"
         doc["classes"] = [
-            {"size": s, "steps": [records[step] for step in rep]}
+            {"size": s, "steps": _steps_json(records, rep)}
             for rep, s in zip(reps, sizes)
         ]
         doc["raw_total"] = sum(sizes)
     else:
         doc["outcome"] = "traces"
-        doc["traces"] = [[records[step] for step in rep] for rep in reps]
+        doc["traces"] = [_steps_json(records, rep) for rep in reps]
     _emit(doc)
     return 0 if reps else 1
 
