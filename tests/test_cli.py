@@ -33,6 +33,7 @@ PRISM_TEXT = "n 6\ne 0 1\ne 1 2\ne 2 0\ne 3 4\ne 4 5\ne 5 3\ne 0 3\ne 1 4\ne 2 5
 PENTAGONAL_PRISM_TEXT = "n 10\n" + "".join(
     f"e {i} {(i + 1) % 5}\ne {i + 5} {(i + 1) % 5 + 5}\n" for i in range(5)
 ) + "".join(f"e {i} {i + 5}\n" for i in range(5))
+K9_TEXT = cli.render_graph(complete_graph(9))
 W4_TEXT = "n 5\ne 0 1\ne 1 2\ne 2 3\ne 3 0\ne 0 4\ne 1 4\ne 2 4\ne 3 4\n"
 LOOP_TEXT = "n 3 multi\ne 0 1\ne 1 2\ne 2 0\ne 0 0\n"
 MIXED_TEXT = "n 4 mixed\ne 0 1\ne 1 2\ne 2 3\ne 3 0\ne 0 2\na 1 3\nE 0 2\n"
@@ -708,6 +709,11 @@ class TestGolden:
             ("cli_k4_star_construct.json", K4_STAR_TEXT, ("construct",)),
             ("cli_k4_strong_construct.json", K4_TEXT, ("construct",)),
             ("cli_c3_parallel_construct.json", C3_TEXT, ("construct", "--variant", "parallel")),
+            ("cli_c3_parallel_check.json", C3_TEXT, ("check", "--variant", "parallel")),
+            ("cli_k4_parallel_check.json", K4_TEXT, ("check", "--variant", "parallel")),
+            ("cli_k4_antiparallel_check.json", K4_TEXT, ("check", "--variant", "antiparallel")),
+            ("cli_prism_antiparallel_check.json", PRISM_TEXT, ("check", "--variant", "antiparallel")),
+            ("cli_k9_antiparallel_check.json", K9_TEXT, ("check", "--variant", "antiparallel")),
             ("cli_k4_enumerate_classes.json", K4_TEXT, ("enumerate", "--classes")),
             (
                 "cli_k4_star_enumerate_restricted_classes.json",
