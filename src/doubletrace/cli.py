@@ -21,8 +21,6 @@ from .construction import (
     _free_direction_trace,
     _restricted_double_trace,
     _restricted_trace,
-    antiparallel_strong_trace,
-    parallel_strong_trace,
 )
 from .enumeration import (
     TraceQuery,
@@ -44,22 +42,16 @@ from .errors import (
 from .feasibility import (
     FeasibilityAnswer,
     SpanningTreeCertificate,
-    has_antiparallel_d_stable_trace,
-    has_antiparallel_strong_trace,
+    _restricted_verdict,
     has_d_stable_trace,
-    has_E_restricted_d_stable_trace,
-    has_E_restricted_d_stable_trace_mixed,
     has_E_restricted_double_trace,
-    has_E_restricted_strong_trace,
-    has_E_restricted_strong_trace_mixed,
-    has_parallel_d_stable_trace,
-    has_parallel_strong_trace,
     has_strong_trace,
 )
 from .graphs import (
     Graph,
     Host,
     MixedGraph,
+    Multigraph,
     RestrictionSet,
     automorphisms,
     parse_graph,
@@ -105,40 +97,27 @@ def feasibility_answer(
     d: Optional[int],
     file_restriction: Optional[RestrictionSet],
 ) -> FeasibilityAnswer:
-    """Route one query to the decision procedure that answers it."""
+    """Route one query to the decision procedure that answers it:
+    ``parallel``, ``antiparallel`` and ``restricted`` are one restricted
+    decision, with E empty, E = all edges and E from the file."""
     if variant not in VARIANTS:
         raise InputError(f"unknown variant {variant!r}")
     _reject_d(variant, d)
+    if isinstance(host, MixedGraph) and variant != "restricted":
+        raise InputError(
+            "mixed graphs support only the restricted variant; arcs fix "
+            "their own directions"
+        )
+    if isinstance(host, Multigraph) and variant == "restricted":
+        raise InputError("the restricted variant needs a simple graph or a mixed graph")
     r = _effective_restriction(variant, host, file_restriction)
-    if isinstance(host, MixedGraph):
-        if variant != "restricted":
-            raise InputError(
-                "mixed graphs support only the restricted variant; arcs fix "
-                "their own directions"
-            )
-        if d is None:
-            return has_E_restricted_strong_trace_mixed(host, r)
-        return has_E_restricted_d_stable_trace_mixed(host, r, d)
     if variant == "strong":
         return has_strong_trace(host)
     if variant == "dstable":
         return has_d_stable_trace(host, 1 if d is None else d)
-    if variant == "parallel":
-        if d is None:
-            return has_parallel_strong_trace(host)
-        return has_parallel_d_stable_trace(host, d)
-    if variant == "antiparallel":
-        if d is None:
-            return has_antiparallel_strong_trace(host)
-        return has_antiparallel_d_stable_trace(host, d)
     if variant == "double":
         return has_E_restricted_double_trace(host, r)
-    # restricted
-    if not isinstance(host, Graph):
-        raise InputError("the restricted variant needs a simple graph or a mixed graph")
-    if d is None:
-        return has_E_restricted_strong_trace(host, r)
-    return has_E_restricted_d_stable_trace(host, r, d)
+    return _restricted_verdict(host, r, d)
 
 
 def build_trace(
@@ -149,26 +128,16 @@ def build_trace(
     answer: FeasibilityAnswer,
 ) -> DoubleTrace:
     """Construct a trace behind ``answer``, the positive verdict that
-    ``feasibility_answer`` gave for the same query.  Restricted and
-    antiparallel builds use its certificate and decide nothing again."""
+    ``feasibility_answer`` gave for the same query.  Parallel, antiparallel
+    and restricted builds use its certificate and decide nothing again."""
     r = _effective_restriction(variant, host, file_restriction)
-    if isinstance(host, MixedGraph):
-        return _restricted_trace(host, r, d, answer)
-    if variant == "parallel":
-        # the repaired doubled tour is strong, hence d-stable whenever the
-        # degree gate passed
-        return parallel_strong_trace(host)
     if variant == "double":
         return _restricted_double_trace(host, r)
-    if variant == "antiparallel" and d is None:
-        return antiparallel_strong_trace(host, answer.certificate)
-    if isinstance(host, Graph):
-        if variant in ("strong", "dstable"):
-            return _free_direction_trace(host)
-        # the antiparallel search runs on the host itself, which is the
-        # quotient when every edge is restricted: same tree, same witnesses
+    if r is not None:
         return _restricted_trace(host, r, d, answer)
-    # multigraph strong, dstable and d-stable antiparallel: the bounded oracle
+    if isinstance(host, Graph):
+        return _free_direction_trace(host)
+    # multigraph strong and dstable: the bounded oracle
     trace = oracle_find(_query_for(host, variant, d, file_restriction))
     if trace is None:
         raise InternalConsistencyError(

@@ -792,8 +792,8 @@ def _degree_bar_certificate(
     degree-bar components split, else the first admissible tree of ``h``
     whose components all do.
 
-    The search is the verdict's own, gated the same way, with one more leaf
-    test; its first leaf is ``cert`` again.
+    The search is the verdict's own, which passed the decider's gate, with
+    one more leaf test; its first leaf is ``cert`` again.
     """
     found: list[tuple[SpanningTreeCertificate, list[Split]]] = []
 
@@ -804,7 +804,7 @@ def _degree_bar_certificate(
         return splits is not None
 
     if not accept(cert):
-        find_admissible_tree(h, witness, max_vertices=h.vertex_count, accept=accept)
+        find_admissible_tree(h, witness, accept=accept)
     if not found:
         raise InternalConsistencyError(
             f"no admissible tree splits every degree-bar component into two "
@@ -1107,7 +1107,7 @@ def _assemble_restricted(
 
 
 def _restricted_trace(
-    host: Union[Graph, MixedGraph],
+    host: Host,
     r: RestrictionSet,
     d: Optional[int],
     answer: FeasibilityAnswer,

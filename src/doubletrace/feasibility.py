@@ -2,8 +2,9 @@
 
 Each ``has_*`` operation decides one variant and returns a FeasibilityAnswer
 whose certificate can be revalidated independently of the search that found
-it.  The admissible-spanning-tree search is exact and complete below hard
-size thresholds; above them it raises CapacityError rather than guessing.
+it.  The admissible-spanning-tree search is exact and complete; the
+deciders run it only below hard size thresholds on the quotient, and above
+them raise CapacityError rather than guessing.
 """
 
 from __future__ import annotations
@@ -119,8 +120,6 @@ def find_admissible_tree(
     h: Union[Graph, Multigraph],
     witness: WitnessSpec = None,
     *,
-    max_vertices: int = TREE_SEARCH_MAX_VERTICES,
-    max_corank: int = TREE_SEARCH_MAX_CORANK,
     accept: Optional[Callable[[SpanningTreeCertificate], bool]] = None,
 ) -> Optional[SpanningTreeCertificate]:
     """First spanning tree whose co-tree components are all even or contain
@@ -129,8 +128,8 @@ def find_admissible_tree(
 
     Trees are generated in lexicographic edge-index order, so the result is
     deterministic, and with ``accept`` the first certificate offered to it
-    is the one returned without it.  Inputs above the size thresholds raise
-    CapacityError.
+    is the one returned without it.  The search is exponential in the
+    co-tree rank; the deciders gate it with ``_gate_quotient``.
 
     Edges are decided in index order, tree edge first.  A second union-find
     tracks the co-tree decided so far; each of its roots stores the
@@ -143,16 +142,6 @@ def find_admissible_tree(
     _reject_disconnected(h)
     pred = _as_predicate(witness)
     n, m = h.vertex_count, h.edge_count
-    if n > max_vertices:
-        raise CapacityError(
-            f"tree search over {n} vertices exceeds the limit of {max_vertices}"
-        )
-    corank = m - n + 1
-    if corank > max_corank:
-        raise CapacityError(
-            f"tree search with co-tree rank {corank} exceeds the limit of {max_corank}"
-        )
-
     target = max(n - 1, 0)
     ends = [h.endpoints(i) for i in range(m)]
     # no path compression in either union-find: every union is undone in
@@ -272,14 +261,15 @@ def has_strong_trace(g: Graph) -> FeasibilityAnswer:
 def _degree_gate(host: Host, d: int) -> Optional[str]:
     """Shared minimum-degree condition of the d-stable variants.
 
-    A vertex of degree between 1 and d forces a repetition of order at most
-    d (its whole edge set) in every double trace; an isolated vertex forces
-    nothing, so the edgeless one-vertex graph passes vacuously.
+    A vertex with between 1 and d incident edges forces a repetition of
+    order at most d (its whole edge set) in every double trace; an isolated
+    vertex forces nothing, so the edgeless one-vertex graph passes
+    vacuously.  A loop is one edge here, though it adds 2 to the degree.
     """
     low = [
         v
         for v in range(host.vertex_count)
-        if 0 < host.degree(v) <= d
+        if 0 < len(host.incident(v)) <= d
     ]
     if low:
         return f"vertices {low} have positive degree at most {d}"
@@ -297,62 +287,22 @@ def has_d_stable_trace(g: Graph, d: int) -> FeasibilityAnswer:
 
 
 def has_antiparallel_strong_trace(g: Graph) -> FeasibilityAnswer:
-    """Needs a spanning tree whose co-tree components all have an even
-    number of edges."""
-    _reject_disconnected(g)
-    refuted = _odd_rank_refutation(g, None)
-    if refuted is not None:
-        return refuted
-    cert = find_admissible_tree(g, None)
-    if cert is not None:
-        return FeasibilityAnswer(True, certificate=cert)
-    return FeasibilityAnswer(
-        False, violated=("every spanning tree leaves an odd co-tree component",)
-    )
+    """Restricted with every edge in E: needs a spanning tree whose
+    co-tree components all have an even number of edges."""
+    return _restricted_verdict(g, RestrictionSet.of(range(g.edge_count)), None)
 
 
 def has_antiparallel_d_stable_trace(g: Graph, d: int) -> FeasibilityAnswer:
-    _reject_disconnected(g)
-    _check_order(d)
-    bad = _degree_gate(g, d)
-    if bad is not None:
-        return FeasibilityAnswer(False, violated=(bad,))
-    bar = 2 * d + 2
-    witness = lambda v: g.degree(v) >= bar
-    refuted = _odd_rank_refutation(g, witness)
-    if refuted is not None:
-        return refuted
-    cert = find_admissible_tree(g, witness)
-    if cert is not None:
-        return FeasibilityAnswer(True, certificate=cert)
-    return FeasibilityAnswer(
-        False,
-        violated=(
-            "every spanning tree leaves an odd co-tree component "
-            f"without a vertex of degree at least {bar}",
-        ),
-    )
+    return _restricted_verdict(g, RestrictionSet.of(range(g.edge_count)), d)
 
 
 def has_parallel_strong_trace(g: Graph) -> FeasibilityAnswer:
-    """Parallel strong traces exist exactly on Eulerian graphs."""
-    _reject_disconnected(g)
-    odd = [v for v in range(g.vertex_count) if g.degree(v) % 2 == 1]
-    if not odd:
-        return FeasibilityAnswer(True)
-    return FeasibilityAnswer(False, violated=(f"odd-degree vertices {odd}",))
+    """Restricted with E empty: exists exactly on Eulerian graphs."""
+    return _restricted_verdict(g, RestrictionSet.of(()), None)
 
 
 def has_parallel_d_stable_trace(g: Graph, d: int) -> FeasibilityAnswer:
-    _reject_disconnected(g)
-    _check_order(d)
-    base = has_parallel_strong_trace(g)
-    if not base.verdict:
-        return base
-    bad = _degree_gate(g, d)
-    if bad is None:
-        return FeasibilityAnswer(True)
-    return FeasibilityAnswer(False, violated=(bad,))
+    return _restricted_verdict(g, RestrictionSet.of(()), d)
 
 
 def _check_order(d: int) -> None:
@@ -403,31 +353,38 @@ class RestrictedAnalysis:
 
     def witness_on_simplified(self, degree_bar: int | None = None) -> Callable[[int], bool]:
         """Vertices of the searched graph that excuse an odd co-tree
-        component: the contracted ones, plus those of quotient degree at
-        least ``degree_bar`` when a bar is given; never a subdivision
-        vertex."""
-        q = self.contraction.quotient
-        limit = q.vertex_count
-        wit = set(self.contraction.eprime_vertices)
-        if degree_bar is not None:
-            wit.update(v for v in range(limit) if q.degree(v) >= degree_bar)
+        component: the quotient's witnesses, never a subdivision vertex."""
+        limit = self.contraction.quotient.vertex_count
+        wit = _quotient_witnesses(self.contraction, degree_bar)
         return lambda v: v < limit and v in wit
 
 
-def _restricted_analysis(
-    host: Union[Graph, MixedGraph], r: RestrictionSet
-) -> RestrictedAnalysis:
-    """Contract the unrestricted edges (and, on a mixed host, every arc)
-    and simplify the quotient."""
-    eprime = _unrestricted_edges(host, r)
+def _quotient_witnesses(cmap: ContractionMap, degree_bar: int | None) -> set[int]:
+    """The contracted vertices of the quotient, plus those of quotient
+    degree at least ``degree_bar`` when a bar is given."""
+    q = cmap.quotient
+    wit = set(cmap.eprime_vertices)
+    if degree_bar is not None:
+        wit.update(v for v in range(q.vertex_count) if q.degree(v) >= degree_bar)
+    return wit
+
+
+def _contract_fragment(host: Host, eprime: list[int]) -> ContractionMap:
+    """Contract the unrestricted edges ``eprime`` (and, on a mixed host,
+    every arc)."""
     if isinstance(host, MixedGraph):
-        cmap = contract_mixed(host, eprime)
-    else:
-        cmap = contract(host, eprime)
+        return contract_mixed(host, eprime)
+    return contract(host, eprime)
+
+
+def _restricted_analysis(host: Host, r: RestrictionSet) -> RestrictedAnalysis:
+    """Contract the unrestricted fragment and simplify the quotient."""
+    cmap = _contract_fragment(host, _unrestricted_edges(host, r))
     return RestrictedAnalysis(cmap, simplify_multigraph(cmap.quotient))
 
 
 def _gate_quotient(q: Multigraph) -> None:
+    """The size gate of every tree search a decider runs."""
     if q.vertex_count > TREE_SEARCH_MAX_VERTICES:
         raise CapacityError(
             f"quotient with {q.vertex_count} vertices exceeds the tree-search "
@@ -442,18 +399,21 @@ def _gate_quotient(q: Multigraph) -> None:
 
 
 def _restricted_verdict(
-    host: Union[Graph, MixedGraph], r: RestrictionSet, d: Optional[int]
+    host: Host, r: RestrictionSet, d: Optional[int]
 ) -> FeasibilityAnswer:
-    """The E-restricted strong (``d`` None) or d-stable decision.
+    """The E-restricted strong (``d`` None) or d-stable decision; E = all
+    edges is the antiparallel question and E empty the parallel one.
 
     A trace exists iff the fragment of unrestricted edges can be walked
     twice in one direction and the quotient by it has a spanning tree whose
     odd co-tree components are all witnessed.  Only the fragment test
-    depends on the host: every vertex even on a simple host, a balanced
-    orientation of each component, arcs included, on a mixed one.  The
-    witnesses are the contracted vertices and, for d-stable traces, the
-    vertices of quotient degree at least 2d + 2.  A simple host's positive
-    verdict also carries its even fragment.
+    depends on the host: every vertex even on an undirected host, a
+    balanced orientation of each component, arcs included, on a mixed one.
+    The witnesses are the contracted vertices and, for d-stable traces, the
+    vertices of quotient degree at least 2d + 2.  The odd-rank refutation
+    and the gate read the quotient, so a query they settle simplifies
+    nothing.  An undirected host's positive verdict also carries its even
+    fragment.
     """
     _reject_disconnected(host)
     bar = None
@@ -472,15 +432,14 @@ def _restricted_verdict(
         bad = _odd_outside(frag)
     if bad is not None:
         return FeasibilityAnswer(False, violated=(bad,))
-    analysis = _restricted_analysis(host, r)
-    searched = analysis.simplified.graph
-    witness = analysis.witness_on_simplified(bar)
-    refuted = _odd_rank_refutation(searched, witness)
+    cmap = _contract_fragment(host, eprime)
+    refuted = _odd_rank_refutation(cmap.quotient, _quotient_witnesses(cmap, bar))
     if refuted is not None:
         return refuted
-    _gate_quotient(analysis.contraction.quotient)
+    _gate_quotient(cmap.quotient)
+    analysis = RestrictedAnalysis(cmap, simplify_multigraph(cmap.quotient))
     cert = find_admissible_tree(
-        searched, witness, max_vertices=searched.vertex_count
+        analysis.simplified.graph, analysis.witness_on_simplified(bar)
     )
     if cert is not None:
         return FeasibilityAnswer(True, certificate=cert, even_fragment=frag)

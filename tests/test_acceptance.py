@@ -618,14 +618,14 @@ def test_criterion_8_capacity_honesty():
     with pytest.raises(CapacityError):
         enumerate_classes(TraceQuery(path_10_edges))
 
+    # the deciders gate the tree search on their quotients; the search
+    # itself answers
     thirteen_vertices = Graph(13, tuple((i, i + 1) for i in range(12)))
-    with pytest.raises(CapacityError):
-        find_admissible_tree(thirteen_vertices)
-    fat_corank = Multigraph(2, tuple((0, 1) for _ in range(18)))  # corank 17
-    with pytest.raises(CapacityError):
-        find_admissible_tree(fat_corank)
-
-    # decision surfaces hit the same gates through their quotients
+    fat_corank = Multigraph(2, tuple((0, 1) for _ in range(19)))  # corank 18
+    for past_gate in (thirteen_vertices, fat_corank):
+        with pytest.raises(CapacityError):
+            has_antiparallel_strong_trace(past_gate)
+        assert find_admissible_tree(past_gate) is not None
     with pytest.raises(CapacityError):
         has_E_restricted_strong_trace(
             thirteen_vertices, RestrictionSet.of(range(12))

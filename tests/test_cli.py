@@ -1,5 +1,6 @@
 """Command-line behavior: file parsing, dispatch, JSON schemas, exit codes."""
 
+import itertools
 import json
 import os
 import random
@@ -13,7 +14,7 @@ import pytest
 
 from doubletrace import cli, construction, feasibility, search_backend
 from doubletrace.errors import ParseError
-from doubletrace.graphs import Graph, MixedGraph, Multigraph, complete_graph
+from doubletrace.graphs import Graph, MixedGraph, Multigraph, complete_graph, is_connected
 from doubletrace.traces import (
     DoubleTrace,
     RestrictionSet,
@@ -398,6 +399,23 @@ class TestConstruct:
         assert is_strong(walk)
         assert doc["directions"] == ["antiparallel", "antiparallel"]
 
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("n 1 multi\ne 0 0\n", ("--variant", "dstable")),
+            ("n 1 multi\ne 0 0\ne 0 0\n", ("--variant", "antiparallel", "--d", "2")),
+        ],
+        ids=["one-loop-dstable", "two-loops-antiparallel-d2"],
+    )
+    def test_loop_is_one_edge_at_the_degree_gate(self, tmp_path, capsys, text, argv):
+        # a vertex whose only edges are d loops repeats them in every trace
+        path = write(tmp_path, "loops.g", text)
+        code, doc, _ = run_json(capsys, "check", path, *argv)
+        assert (code, doc["outcome"]) == (1, "false")
+        assert "positive degree at most" in doc["violated"][0]
+        code, doc, _ = run_json(capsys, "construct", path, *argv)
+        assert (code, doc["outcome"]) == (1, "infeasible")
+
     def test_dot_output(self, tmp_path, capsys):
         path = write(tmp_path, "c3.g", C3_TEXT)
         code, out, _ = run_cli(capsys, "construct", path, "--format", "dot")
@@ -440,6 +458,83 @@ class TestConstruct:
         # K12 and the cubic graphs are past the tree-search gates too: the
         # antiparallel set is a T-join and its certificate is written down
         assert_free_build(tmp_path, capsys, monkeypatch, g, argv, d)
+
+
+def small_simple_graphs():
+    """Every connected simple graph on vertex set {0..n-1}, n <= 5."""
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+            if is_connected(g):
+                yield g
+
+
+def small_multigraphs():
+    """Every connected multigraph on vertex set {0..n-1}, n <= 3, with at
+    most 5 edges, loops and parallel edges included, edges in sorted order."""
+    for n in range(1, 4):
+        kinds = list(itertools.combinations_with_replacement(range(n), 2))
+        for m in range(6):
+            for edges in itertools.combinations_with_replacement(kinds, m):
+                h = Multigraph(n, edges)
+                if is_connected(h):
+                    yield h
+
+
+def reference_verdict(host, variant, d):
+    """What the parallel and antiparallel questions ask, on the host itself:
+    every degree even, or an admissible tree of the host whose witnesses
+    are the vertices of degree at least 2d + 2; each behind the degree
+    gate on distinct incident edges.  Returns (verdict, tree certificate)."""
+    n = host.vertex_count
+    if d is not None and any(0 < len(host.incident(v)) <= d for v in range(n)):
+        return False, None
+    if variant == "parallel":
+        return all(host.degree(v) % 2 == 0 for v in range(n)), None
+    witness = None if d is None else (lambda v: host.degree(v) >= 2 * d + 2)
+    cert = feasibility.find_admissible_tree(host, witness)
+    return cert is not None, cert
+
+
+class TestRoutedVariants:
+    """``parallel`` and ``antiparallel`` are the restricted decision with E
+    empty and E = all edges: the routed verdicts match the direct questions
+    on small populations, and every positive builds without the kernel."""
+
+    def cross_check(self, monkeypatch, hosts):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parallel or antiparallel construct reached the kernel")
+
+        monkeypatch.setattr(search_backend, "run", refuse)
+        count = positives = 0
+        for host in hosts:
+            for variant, d in itertools.product(("parallel", "antiparallel"), (None, 1, 2)):
+                count += 1
+                answer = cli.feasibility_answer(host, variant, d, None)
+                verdict, cert = reference_verdict(host, variant, d)
+                assert answer.verdict == verdict, (host, variant, d)
+                if isinstance(host, Graph) and variant == "antiparallel":
+                    assert answer.certificate == cert, (host, d)
+                if not verdict:
+                    continue
+                positives += 1
+                walk = cli.build_trace(host, variant, d, None, answer)
+                r = cli._effective_restriction(variant, host, None)
+                assert validate_double_trace(walk).ok, (host, variant, d)
+                assert check_restriction(walk, r), (host, variant, d)
+                assert is_strong(walk) if d is None else is_d_stable(walk, d)
+        return count, positives
+
+    def test_simple_graphs(self, monkeypatch):
+        count, positives = self.cross_check(monkeypatch, small_simple_graphs())
+        assert count == 6 * 772
+        assert 0 < positives < count
+
+    def test_multigraphs(self, monkeypatch):
+        count, positives = self.cross_check(monkeypatch, small_multigraphs())
+        assert count == 6 * 237
+        assert 0 < positives < count
 
 
 class TestOneTreeSearch:

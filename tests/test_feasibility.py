@@ -255,24 +255,23 @@ class TestTreeSearch:
         assert find_admissible_tree(C3, witness={0}) is not None
 
     def test_vertex_gate(self):
+        # the decider gates the search; the search itself answers
         with pytest.raises(CapacityError):
-            find_admissible_tree(path_graph(14))
-        assert find_admissible_tree(path_graph(14), max_vertices=20) is not None
+            has_antiparallel_strong_trace(path_graph(14))
+        assert find_admissible_tree(path_graph(14)) is not None
 
     def test_corank_gate(self):
-        from doubletrace.graphs import Multigraph
-
         fat = Multigraph(2, [(0, 1)] * 19)  # corank 18
         with pytest.raises(CapacityError):
-            find_admissible_tree(fat)
-        # lifted: the 18 co-tree edges form a single even component
-        assert find_admissible_tree(fat, max_corank=18) is not None
-        # odd rank without witnesses is refuted by the decision surfaces;
-        # the search itself still gates and then searches
+            has_antiparallel_strong_trace(fat)
+        # the 18 co-tree edges form a single even component
+        assert find_admissible_tree(fat) is not None
+        # odd rank without witnesses is refuted before the gate
         odd = Multigraph(2, [(0, 1)] * 18)
-        with pytest.raises(CapacityError):
-            find_admissible_tree(odd)
-        assert find_admissible_tree(odd, max_corank=17) is None
+        ans = has_antiparallel_strong_trace(odd)
+        assert not ans
+        assert "co-tree rank 17 is odd" in ans.violated[0]
+        assert find_admissible_tree(odd) is None
 
     def test_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
@@ -344,7 +343,7 @@ def leaf_rebuild_search(h, witness=None):
 
 def assert_same_search(h, witness):
     ref = leaf_rebuild_search(h, witness)
-    cert = find_admissible_tree(h, witness, max_vertices=64, max_corank=64)
+    cert = find_admissible_tree(h, witness)
     if ref is None:
         assert cert is None
         return False
