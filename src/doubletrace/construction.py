@@ -553,12 +553,8 @@ def antiparallel_double_trace_with_repetitions_in(
         n += 1
         tree.add(e)
 
-    final = Graph(n, tuple(edges))
-    co = [i for i in range(len(edges)) if i not in tree]
-    cert2 = SpanningTreeCertificate(
-        final, frozenset(tree), components_with_parity(induced_edge_subgraph(final, co))
-    )
-    split_walk = antiparallel_strong_trace(final, cert2)
+    # the last pass left every co-tree component even
+    split_walk = antiparallel_strong_trace(h, SpanningTreeCertificate(h, frozenset(tree), report))
     # indices and flags carry over verbatim; only vertex names differ
     return DoubleTrace(g, split_walk.steps)
 
