@@ -1160,18 +1160,15 @@ def _t_join_certificate(g: Graph) -> tuple[RestrictionSet, SpanningTreeCertifica
     E - A is empty, G is a tree and there is no co-tree.
     """
     n = g.vertex_count
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (a, b) in enumerate(g.edges):
-        adj[a].append((i, b))
-        adj[b].append((i, a))
     up = [-1] * n  # each vertex's tree edge toward vertex 0
     order = [0] if n else []
     for v in order:
-        for i, w in adj[v]:
+        for i in g.incident(v):
+            w = sum(g.edges[i]) - v
             if w and up[w] < 0:
                 up[w] = i
                 order.append(w)
-    odd = [len(a) % 2 for a in adj]
+    odd = [g.degree(v) % 2 for v in range(n)]
     anti = []
     for v in reversed(order[1:]):
         if odd[v]:

@@ -9,7 +9,7 @@ an answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import search_backend
@@ -197,7 +197,7 @@ def _fold(
 ) -> list[tuple[tuple[Step, ...], int]]:
     """fold_classes over the step tables of the relabelings."""
     maps = [(False, t) for t in tables]
-    if not any(host.is_arc(i) for i in range(host.edge_count)):
+    if not host.arcs:
         # reversal flips every step as well: code c becomes c ^ 1
         maps += [(True, [c ^ 1 for c in t]) for t in tables]
     if host.edge_count <= 128:
@@ -273,7 +273,6 @@ class EquivalenceClass:
 
     canonical: tuple[Step, ...]
     size: int
-    representative: DoubleTrace = field(compare=False)
 
 
 def enumerate_classes(
@@ -294,7 +293,4 @@ def enumerate_classes(
         # only relabelings that fix the restricted edge set are symmetries
         anti = query.restriction.antiparallel_edges
         tables = [t for t in tables if {t[2 * i] >> 1 for i in anti} == anti]
-    return [
-        EquivalenceClass(canon, size, DoubleTrace(host, canon))
-        for canon, size in _fold(host, sequences, tables)
-    ]
+    return [EquivalenceClass(canon, size) for canon, size in _fold(host, sequences, tables)]

@@ -1,15 +1,16 @@
 """Graph values and structural operations.
 
-Three immutable host types share one convention: vertices are ``0..n-1`` and
-edges are identified by their position in the edge list.  Every subset or
-certificate elsewhere in the package is a set of these positional indices.
+One immutable host class, :class:`Host`, implements every host operation:
+vertices are ``0..n-1`` and edges are identified by their position in the
+edge list.  Every subset or certificate elsewhere in the package is a set of
+these positional indices.  Its three kinds differ only in what they accept:
 
 * :class:`Graph` - simple undirected graph (no loops, no parallel edges).
 * :class:`Multigraph` - undirected, loops and parallel edges allowed.
 * :class:`MixedGraph` - undirected edges plus arcs with a fixed direction.
 
-For a :class:`MixedGraph` the traversable objects are indexed together:
-undirected edges first (in file/list order), then arcs.
+The traversable objects are indexed together: undirected edges first (in
+file/list order), then arcs.
 
 The module also holds :class:`RestrictionSet` and the graph-file format
 (``parse_graph`` and ``render_graph``).
@@ -18,8 +19,9 @@ The module also holds :class:`RestrictionSet` and the graph-file format
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Optional, Union
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Callable, ClassVar, Collection, Iterable, Optional, Union
 
 from .errors import CapacityError, InputError, ParseError
 
@@ -39,68 +41,19 @@ def _check_range(pairs: tuple[tuple[int, int], ...], n: int, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph on vertices ``0..vertex_count-1``."""
+class Host:
+    """Vertices ``0..vertex_count-1``, undirected ``edges`` and, on a
+    :class:`MixedGraph`, direction-fixed ``arcs`` indexed after the edges.
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", _as_pairs(self.edges))
-        if self.vertex_count < 0:
-            raise InputError("vertex_count must be non-negative")
-        _check_range(self.edges, self.vertex_count, "edge")
-        seen = set()
-        for i, (u, v) in enumerate(self.edges):
-            if u == v:
-                raise InputError(f"edge {i} is a loop; use Multigraph")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise InputError(f"edge {i} duplicates pair {key}; use Multigraph")
-            seen.add(key)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def endpoints(self, i: int) -> tuple[int, int]:
-        return self.edges[i]
-
-    def is_arc(self, i: int) -> bool:
-        return False
-
-    def incident(self, v: int) -> tuple[int, ...]:
-        return tuple(i for i, (a, b) in enumerate(self.edges) if v in (a, b))
-
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if v in (a, b))
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return tuple(sorted(out))
-
-    def min_degree(self) -> int:
-        return min((self.degree(v) for v in range(self.vertex_count)), default=0)
-
-    def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.vertex_count)), default=0)
-
-
-@dataclass(frozen=True)
-class Multigraph:
-    """Undirected multigraph: loops and parallel edges allowed.
-
-    A loop contributes 2 to the degree of its vertex but appears once in
-    ``incident``.
+    Incidence, degree and connectivity are computed on first use and kept
+    outside the fields, so equality, hashing and pickling see only the
+    fields.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
+    arcs: ClassVar[tuple[tuple[int, int], ...]] = ()  # a field of MixedGraph only
+    kind: ClassVar[str]  # the graph-file kind: simple, multi or mixed
 
     def __post_init__(self):
         object.__setattr__(self, "edges", _as_pairs(self.edges))
@@ -108,69 +61,102 @@ class Multigraph:
             raise InputError("vertex_count must be non-negative")
         _check_range(self.edges, self.vertex_count, "edge")
 
-    @property
+    def __getstate__(self):
+        return {f.name: self.__dict__[f.name] for f in fields(self)}
+
+    @cached_property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edges) + len(self.arcs)
+
+    @cached_property
+    def _ends(self) -> tuple[tuple[int, int], ...]:
+        return self.edges + self.arcs
+
+    @cached_property
+    def _incidence(self) -> tuple[tuple[int, ...], ...]:
+        out: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for i, (a, b) in enumerate(self._ends):
+            out[a].append(i)
+            if b != a:
+                out[b].append(i)
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        deg = [0] * self.vertex_count
+        for a, b in self._ends:
+            deg[a] += 1
+            deg[b] += 1
+        return tuple(deg)
+
+    @cached_property
+    def _connected(self) -> bool:
+        return _search_connected(self)
 
     def endpoints(self, i: int) -> tuple[int, int]:
-        return self.edges[i]
+        return self._ends[i]
 
     def is_arc(self, i: int) -> bool:
-        return False
-
-    def is_loop(self, i: int) -> bool:
-        a, b = self.edges[i]
-        return a == b
+        return i >= len(self.edges)
 
     def incident(self, v: int) -> tuple[int, ...]:
-        return tuple(i for i, (a, b) in enumerate(self.edges) if v in (a, b))
+        """Indices at ``v`` in ascending order; a loop is listed once."""
+        return self._incidence[v]
 
     def degree(self, v: int) -> int:
-        d = 0
-        for a, b in self.edges:
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
+        """Edges plus arcs at ``v``; a loop counts twice."""
+        return self._degrees[v]
 
     def min_degree(self) -> int:
-        return min((self.degree(v) for v in range(self.vertex_count)), default=0)
+        return min(self._degrees, default=0)
 
-    def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.vertex_count)), default=0)
+
+def _reject_simple_violations(edges: tuple[tuple[int, int], ...], hint: str) -> None:
+    seen = set()
+    for i, (u, v) in enumerate(edges):
+        if u == v:
+            raise InputError(f"edge {i} is a loop{hint}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise InputError(f"edge {i} duplicates pair {key}{hint}")
+        seen.add(key)
 
 
 @dataclass(frozen=True)
-class MixedGraph:
-    """Graph with undirected edges and direction-fixed arcs.
+class Graph(Host):
+    """Simple undirected graph: no loops, no parallel edges."""
 
-    Traversable objects are indexed together: undirected edges get
-    ``0..len(edges)-1``, arcs continue from ``len(edges)``.  Loops are not
-    allowed.  Duplicate undirected pairs and duplicate identical arcs are
-    rejected; an opposite arc pair (u,v)/(v,u) and an arc alongside an
-    undirected edge on the same pair are both fine.
+    kind: ClassVar[str] = "simple"
+
+    def __post_init__(self):
+        super().__post_init__()
+        _reject_simple_violations(self.edges, "; use Multigraph")
+
+
+@dataclass(frozen=True)
+class Multigraph(Host):
+    """Undirected multigraph: loops and parallel edges allowed."""
+
+    kind: ClassVar[str] = "multi"
+
+
+@dataclass(frozen=True)
+class MixedGraph(Host):
+    """Undirected edges plus direction-fixed arcs.
+
+    Loops are not allowed.  Duplicate undirected pairs and duplicate
+    identical arcs are rejected; an opposite arc pair (u,v)/(v,u) and an arc
+    alongside an undirected edge on the same pair are both fine.
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
     arcs: tuple[tuple[int, int], ...]
+    kind: ClassVar[str] = "mixed"
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", _as_pairs(self.edges))
         object.__setattr__(self, "arcs", _as_pairs(self.arcs))
-        if self.vertex_count < 0:
-            raise InputError("vertex_count must be non-negative")
-        _check_range(self.edges, self.vertex_count, "edge")
+        super().__post_init__()
         _check_range(self.arcs, self.vertex_count, "arc")
-        seen = set()
-        for i, (u, v) in enumerate(self.edges):
-            if u == v:
-                raise InputError(f"edge {i} is a loop")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise InputError(f"edge {i} duplicates pair {key}")
-            seen.add(key)
+        _reject_simple_violations(self.edges, "")
         seen_arcs = set()
         for i, (u, v) in enumerate(self.arcs):
             if u == v:
@@ -178,42 +164,6 @@ class MixedGraph:
             if (u, v) in seen_arcs:
                 raise InputError(f"arc {i} duplicates arc ({u}, {v})")
             seen_arcs.add((u, v))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges) + len(self.arcs)
-
-    def endpoints(self, i: int) -> tuple[int, int]:
-        if i < len(self.edges):
-            return self.edges[i]
-        return self.arcs[i - len(self.edges)]
-
-    def is_arc(self, i: int) -> bool:
-        return i >= len(self.edges)
-
-    def incident(self, v: int) -> tuple[int, ...]:
-        out = [i for i, (a, b) in enumerate(self.edges) if v in (a, b)]
-        base = len(self.edges)
-        out += [base + i for i, (a, b) in enumerate(self.arcs) if v in (a, b)]
-        return tuple(out)
-
-    def degree(self, v: int) -> int:
-        """Total degree: undirected degree plus in- plus out-degree."""
-        d = sum(1 for a, b in self.edges if v in (a, b))
-        d += sum(1 for a, b in self.arcs if v in (a, b))
-        return d
-
-    def out_degree(self, v: int) -> int:
-        return sum(1 for a, _ in self.arcs if a == v)
-
-    def in_degree(self, v: int) -> int:
-        return sum(1 for _, b in self.arcs if b == v)
-
-    def min_degree(self) -> int:
-        return min((self.degree(v) for v in range(self.vertex_count)), default=0)
-
-
-Host = Union[Graph, Multigraph, MixedGraph]
 
 
 @dataclass(frozen=True)
@@ -235,30 +185,30 @@ class RestrictionSet:
 
     def complement(self, host: Host) -> frozenset[int]:
         """Indices of the undirected edges required to be parallel."""
-        undirected = getattr(host, "edges", ())
-        return frozenset(range(len(undirected))) - self.antiparallel_edges
+        return frozenset(range(len(host.edges))) - self.antiparallel_edges
 
 
 def is_connected(host: Host) -> bool:
     """True iff the host is connected (weakly, for mixed graphs).
 
     Isolated vertices count: a 2-vertex graph with no edges is disconnected,
-    a 1-vertex graph is connected.
+    a 1-vertex graph is connected.  Each host object is searched once.
     """
+    return host._connected
+
+
+def _search_connected(host: Host) -> bool:
     n = host.vertex_count
     if n == 0:
         return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(host.edge_count):
-        a, b = host.endpoints(i)
-        adj[a].append(b)
-        adj[b].append(a)
     seen = [False] * n
     stack = [0]
     seen[0] = True
     while stack:
         v = stack.pop()
-        for w in adj[v]:
+        for i in host.incident(v):
+            a, b = host.endpoints(i)
+            w = b if a == v else a
             if not seen[w]:
                 seen[w] = True
                 stack.append(w)
@@ -394,18 +344,10 @@ def parse_graph(text: str) -> tuple[Host, Optional[RestrictionSet]]:
 
 def render_graph(host: Host, restriction: Optional[RestrictionSet] = None) -> str:
     """Inverse of parse_graph: parse(render(g)) is structurally equal to g."""
-    if isinstance(host, Graph):
-        kind = "simple"
-    elif isinstance(host, Multigraph):
-        kind = "multi"
-    elif isinstance(host, MixedGraph):
-        kind = "mixed"
-    else:
-        raise InputError(f"cannot render host of type {type(host).__name__}")
-    lines = [f"n {host.vertex_count} {kind}"]
+    lines = [f"n {host.vertex_count} {host.kind}"]
     for u, v in host.edges:
         lines.append(f"e {u} {v}")
-    for u, v in getattr(host, "arcs", ()):
+    for u, v in host.arcs:
         lines.append(f"a {u} {v}")
     if restriction is not None:
         ids = " ".join(str(i) for i in sorted(restriction.antiparallel_edges))

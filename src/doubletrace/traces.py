@@ -162,7 +162,7 @@ def check_restriction(w: ClosedWalk, r: RestrictionSet) -> bool:
     """True iff the undirected edges in ``r`` are antiparallel and all other
     undirected edges are parallel.  Arcs are outside the restriction."""
     labels = classify_directions(w)
-    undirected_count = len(getattr(w.host, "edges", ()))
+    undirected_count = len(w.host.edges)
     for i in r.antiparallel_edges:
         if not (0 <= i < undirected_count):
             raise InputError(f"restriction index {i} is not an undirected edge")

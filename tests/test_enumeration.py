@@ -179,9 +179,9 @@ class TestEquivalenceClasses:
         classes = enumerate_classes(TraceQuery(C3))
         raw = count_raw_traces(TraceQuery(C3))
         assert sum(c.size for c in classes) == raw
-        # representatives really belong to their class
+        # each canonical form is a trace of its own class
         for c in classes:
-            assert canonical_form(c.representative) == c.canonical
+            assert canonical_form(DoubleTrace(C3, c.canonical)) == c.canonical
 
     def test_classes_sorted_and_distinct(self):
         classes = enumerate_classes(TraceQuery(C3))
@@ -195,7 +195,7 @@ class TestEquivalenceClasses:
         raw = count_raw_traces(TraceQuery(C3, restriction=r))
         assert sum(c.size for c in classes) == raw
         for c in classes:
-            assert check_restriction(c.representative, r)
+            assert check_restriction(DoubleTrace(C3, c.canonical), r)
 
     def test_multigraph_hosts_rejected(self):
         with pytest.raises(InputError):

@@ -1,9 +1,12 @@
 """Host structures: graphs, fragments, contraction, simplification."""
 
 import itertools
+import pickle
+import random
 
 import pytest
 
+from doubletrace import graphs
 from doubletrace.errors import InputError
 from doubletrace.graphs import (
     Graph,
@@ -55,7 +58,6 @@ class TestGraph:
         assert g.edge_count == 2
         assert g.endpoints(0) == (0, 1)
         assert g.degree(1) == 2
-        assert g.neighbors(1) == (0, 2)
         assert g.incident(0) == (0,)
         assert not g.is_arc(0)
 
@@ -72,16 +74,13 @@ class TestGraph:
             Graph(2, [(0, 2)])
 
     def test_degree_bounds(self):
-        g = complete_graph(4)
-        assert g.min_degree() == 3
-        assert g.max_degree() == 3
+        assert complete_graph(4).min_degree() == 3
 
 
 class TestMultigraph:
     def test_loop_counts_twice(self):
         m = Multigraph(1, [(0, 0)])
         assert m.degree(0) == 2
-        assert m.is_loop(0)
 
     def test_parallel_edges(self):
         m = Multigraph(2, [(0, 1), (0, 1)])
@@ -97,8 +96,6 @@ class TestMixedGraph:
     def test_degree_sums_all_incidences(self):
         b = MixedGraph(3, edges=[(0, 1)], arcs=[(1, 2), (2, 1)])
         assert b.degree(1) == 3
-        assert b.out_degree(1) == 1
-        assert b.in_degree(1) == 1
 
     def test_edge_indexing_arcs_after_edges(self):
         b = MixedGraph(2, edges=[(0, 1)], arcs=[(0, 1)])
@@ -124,6 +121,89 @@ class TestConnectivity:
     def test_mixed_ignores_arc_direction(self):
         b = MixedGraph(2, edges=[], arcs=[(1, 0)])
         assert is_connected(b)
+
+
+def seeded_hosts(seed, count=60):
+    """Hosts of all three kinds on 0..6 vertices: loops and parallel edges
+    on the multigraphs, arcs both ways on the mixed ones."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(0, 6)
+        pairs = list(itertools.combinations(range(n), 2))
+        out.append(Graph(n, rng.sample(pairs, rng.randint(0, len(pairs)))))
+        if n:
+            ends = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9))]
+            out.append(Multigraph(n, ends))
+        ordered = [(u, v) for u in range(n) for v in range(n) if u != v]
+        out.append(MixedGraph(
+            n,
+            edges=rng.sample(pairs, rng.randint(0, len(pairs))),
+            arcs=rng.sample(ordered, rng.randint(0, min(len(ordered), 6))),
+        ))
+    return out
+
+
+def brute_connected(n, ends):
+    reached = {0} if n else set()
+    grew = True
+    while grew:
+        grew = False
+        for a, b in ends:
+            if (a in reached) != (b in reached):
+                reached |= {a, b}
+                grew = True
+    return len(reached) == n
+
+
+class TestHostOperations:
+    """Every host operation against a recomputation from edges and arcs."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_brute_force(self, seed):
+        kinds = set()
+        for h in seeded_hosts(seed):
+            kinds.add(type(h))
+            ends = list(h.edges) + list(h.arcs)
+            assert h.edge_count == len(ends)
+            for i, (a, b) in enumerate(ends):
+                assert h.endpoints(i) == (a, b)
+                assert h.is_arc(i) == (i >= len(h.edges))
+            for v in range(h.vertex_count):
+                assert h.incident(v) == tuple(
+                    i for i, (a, b) in enumerate(ends) if v in (a, b)
+                )
+                assert h.degree(v) == sum((a == v) + (b == v) for a, b in ends)
+            assert is_connected(h) == brute_connected(h.vertex_count, ends)
+        assert kinds == {Graph, Multigraph, MixedGraph}
+
+    def test_one_connectivity_search_per_host(self, monkeypatch):
+        searched = []
+        search = graphs._search_connected
+        monkeypatch.setattr(
+            graphs, "_search_connected", lambda h: searched.append(h) or search(h)
+        )
+        hosts = seeded_hosts(3, count=10)
+        for _ in range(4):
+            for h in hosts:
+                is_connected(h)
+        assert len(searched) == len(hosts)
+        assert all(a is b for a, b in zip(searched, hosts))
+
+    def test_pickle_round_trip(self):
+        for h in (
+            Multigraph(3, [(0, 0), (0, 1), (0, 1), (1, 2)]),
+            MixedGraph(3, edges=[(0, 1)], arcs=[(1, 2), (2, 1)]),
+            complete_graph(4),
+        ):
+            before = pickle.dumps(h)
+            is_connected(h)  # fills the caches, which must not travel
+            assert pickle.dumps(h) == before
+            copy = pickle.loads(before)
+            assert type(copy) is type(h)
+            assert copy == h and hash(copy) == hash(h)
+            assert copy.degree(0) == h.degree(0)
+            assert is_connected(copy)
 
 
 class TestFragments:
