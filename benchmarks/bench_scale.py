@@ -1,0 +1,148 @@
+"""Time trace builds as the graph grows, to show how build time scales with
+the walk.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 benchmarks/bench_scale.py [--sizes 200,400,...]
+        [--repeat N] [--json FILE]
+
+Families, each drawn from a seed fixed by its size:
+
+* ``G(n,2n)``: n = m/2 vertices, a random spanning tree plus random edges
+  up to m edges;
+* ``cubic``: a random Hamiltonian cycle plus a random perfect matching
+  that repeats none of its edges, about m edges.
+
+Variants: ``strong`` and ``double`` on both families, ``double`` with E the
+T-join restriction that the free-direction build writes; ``dstable``
+(d = 1) on cubic graphs only, since a G(n,2n) draw has leaves and so no
+1-stable trace.  Each point times the decision and the build separately,
+``--repeat`` times, and keeps the medians; every trace is validated after
+the timing.  The log-log slope of build time over edges is fitted by least
+squares per family and variant.
+"""
+
+import argparse
+import json
+import math
+import platform
+import random
+import statistics
+import sys
+import time
+
+from doubletrace import cli
+from doubletrace.construction import _t_join_certificate
+from doubletrace.graphs import Graph
+from doubletrace.traces import check_restriction, is_d_stable, is_strong, validate_double_trace
+
+
+def gnm(m: int) -> Graph:
+    rng = random.Random(f"G(n,2n):{m}")
+    n = m // 2
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((a, b))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    return Graph(n, edges)
+
+
+def cubic(m: int) -> Graph:
+    rng = random.Random(f"cubic:{m}")
+    n = 2 * (m // 3)  # 3n/2 edges, n even
+    while True:
+        order = list(range(n))
+        rng.shuffle(order)
+        cycle = {tuple(sorted((order[i], order[(i + 1) % n]))) for i in range(n)}
+        rng.shuffle(order)
+        matching = {tuple(sorted(order[i : i + 2])) for i in range(0, n, 2)}
+        if not cycle & matching:
+            edges = sorted(cycle | matching)
+            rng.shuffle(edges)
+            return Graph(n, edges)
+
+
+FAMILIES = {"G(n,2n)": gnm, "cubic": cubic}
+POINTS = [
+    ("G(n,2n)", "strong"),
+    ("G(n,2n)", "double"),
+    ("cubic", "strong"),
+    ("cubic", "dstable"),
+    ("cubic", "double"),
+]
+
+
+def run_point(g: Graph, variant: str, repeat: int) -> dict:
+    d = 1 if variant == "dstable" else None
+    r = _t_join_certificate(g)[0] if variant == "double" else None
+    decide, build = [], []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        answer = cli.feasibility_answer(g, variant, d, r)
+        decide.append(time.perf_counter() - start)
+        if not answer:
+            raise SystemExit(f"{variant} refused on a {g.edge_count}-edge draw: {answer.violated}")
+        start = time.perf_counter()
+        walk = cli.build_trace(g, variant, d, r, answer)
+        build.append(time.perf_counter() - start)
+    ok = validate_double_trace(walk).ok
+    if variant == "double":
+        ok = ok and check_restriction(walk, r)
+    else:
+        ok = ok and (is_strong(walk) if d is None else is_d_stable(walk, d))
+    if not ok:
+        raise SystemExit(f"{variant} built an invalid trace on a {g.edge_count}-edge draw")
+    return {
+        "edges": g.edge_count,
+        "vertices": g.vertex_count,
+        "steps": len(walk.steps),
+        "decide_s": statistics.median(decide),
+        "build_s": statistics.median(build),
+    }
+
+
+def slope(rows: list[dict]) -> float:
+    """Least-squares slope of log(build_s) over log(edges)."""
+    xs = [math.log(row["edges"]) for row in rows]
+    ys = [math.log(row["build_s"]) for row in rows]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--sizes", default="200,400,800,1600,3200",
+                        help="comma-separated edge counts")
+    parser.add_argument("--repeat", type=int, default=3, help="runs per point")
+    parser.add_argument("--json", help="also write the rows and slopes to this file")
+    args = parser.parse_args(argv)
+    sizes = [int(s) for s in args.sizes.split(",")]
+
+    result = {
+        "machine": f"{platform.machine()}, {platform.python_implementation()} "
+        f"{platform.python_version()}",
+        "repeat": args.repeat,
+        "points": {},
+    }
+    print(f"{'family':8} {'variant':8} {'edges':>6} {'steps':>6} {'decide_s':>9} {'build_s':>9}")
+    for family, variant in POINTS:
+        rows = []
+        for m in sizes:
+            row = run_point(FAMILIES[family](m), variant, args.repeat)
+            rows.append(row)
+            print(f"{family:8} {variant:8} {row['edges']:>6} {row['steps']:>6} "
+                  f"{row['decide_s']:>9.4f} {row['build_s']:>9.4f}", flush=True)
+        fit = slope(rows) if len(rows) > 1 else None
+        if fit is not None:
+            print(f"{family:8} {variant:8} log-log slope of build time {fit:.2f}")
+        result["points"][f"{family} {variant}"] = {"rows": rows, "build_slope": fit}
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=1)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -60,9 +60,9 @@ from .graphs import (
 from .traces import (
     ClosedWalk,
     DoubleTrace,
+    WalkIndex,
     check_restriction,
     classify_directions,
-    transition_system,
     validate_double_trace,
 )
 
@@ -502,13 +502,10 @@ def _cmd_classify(args) -> int:
         directions = _direction_labels(walk)
         if file_r is not None:
             restriction_match = check_restriction(walk, file_r)
-        per_vertex = []
-        min_sizes = []
-        for v in range(host.vertex_count):
-            ts = transition_system(walk, v)
-            per_vertex.append(ts.component_count)
-            if ts.components:
-                min_sizes.append(ts.min_component_size())
+        index = WalkIndex(host, walk.steps)
+        classes = [index.classes(v) for v in range(host.vertex_count)]
+        per_vertex = [len(c) for c in classes]
+        min_sizes = [min(map(len, c)) for c in classes if c]
         strong = all(c <= 1 for c in per_vertex)
         # the largest d the walk is d-stable for; null means unbounded
         stable_order = min(min_sizes) - 1 if min_sizes else None

@@ -17,6 +17,7 @@ reproduce the same step sequences byte for byte.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -55,9 +56,9 @@ from .traces import (
     DoubleTrace,
     RestrictionSet,
     Step,
+    WalkIndex,
     step_head,
     step_tail,
-    transition_system,
 )
 
 Walkable = Union[Host, EdgeFragment]
@@ -74,10 +75,6 @@ def _as_fragment(fragment: Walkable) -> EdgeFragment:
 # ---------------------------------------------------------------------------
 
 
-def _fragment_connected(frag: EdgeFragment) -> bool:
-    return len(components_with_parity(frag)) <= 1
-
-
 def euler_tour(fragment: Walkable) -> ClosedWalk:
     """Closed walk over the fragment using every edge exactly once.
 
@@ -91,8 +88,8 @@ def euler_tour(fragment: Walkable) -> ClosedWalk:
     if not frag.edges:
         if not isinstance(fragment, EdgeFragment) and not is_connected(host):
             raise PreconditionError("graph is disconnected")
-        return ClosedWalk(host, ())
-    if not _fragment_connected(frag):
+        return ClosedWalk._of(host, ())
+    if len(components_with_parity(frag)) > 1:
         raise PreconditionError("fragment is disconnected")
 
     arcs = [i for i in frag.edges if host.is_arc(i)]
@@ -102,13 +99,7 @@ def euler_tour(fragment: Walkable) -> ClosedWalk:
 
     if arcs:
         und = [i for i in frag.edges if not host.is_arc(i)]
-        degree = {v: frag.degree(v) for v in verts}
-        tails = _balanced_orientation(
-            verts,
-            [host.endpoints(i) for i in und],
-            [host.endpoints(i) for i in arcs],
-            degree,
-        )
+        tails = _balanced_orientation(host, frag.edges)
         if tails is None:
             raise PreconditionError(
                 "fragment admits no direction-respecting Euler tour"
@@ -118,9 +109,6 @@ def euler_tour(fragment: Walkable) -> ClosedWalk:
         for k, i in enumerate(und):
             a, b = host.endpoints(i)
             out[a if tails[k] == 0 else b].append((i, tails[k]))
-        for v in verts:
-            out[v].sort()
-        used: set[int] = set()  # every slot is unique already
     else:
         odd = [v for v in verts if frag.degree(v) % 2 == 1]
         if odd:
@@ -130,11 +118,12 @@ def euler_tour(fragment: Walkable) -> ClosedWalk:
             out[a].append((i, 0))
             if b != a:
                 out[b].append((i, 1))
-        for v in verts:
-            out[v].sort()
-        used = set()
+    for v in verts:
+        out[v].sort()
 
     directed = bool(arcs)
+    used: set[int] = set()  # directed slots are unique already
+    tail = host.dart_tails
     ptr = {v: 0 for v in verts}
     start = verts[0]
     path: list[tuple[int, Optional[Step]]] = [(start, None)]
@@ -147,7 +136,7 @@ def euler_tour(fragment: Walkable) -> ClosedWalk:
             ptr[v] += 1
             if directed or step[0] not in used:
                 used.add(step[0])
-                path.append((step_head(host, step), step))
+                path.append((tail[2 * step[0] + 1 - step[1]], step))
                 moved = True
                 break
         if not moved:
@@ -157,7 +146,7 @@ def euler_tour(fragment: Walkable) -> ClosedWalk:
         raise InternalConsistencyError(
             "tour construction missed edges on a connected balanced fragment"
         )
-    return ClosedWalk(host, steps)
+    return ClosedWalk._of(host, steps)
 
 
 def parallel_strong_trace(fragment: Walkable) -> DoubleTrace:
@@ -171,13 +160,31 @@ def parallel_strong_trace(fragment: Walkable) -> DoubleTrace:
     """
     frag = _as_fragment(fragment)
     tour = euler_tour(frag)
-    walk = DoubleTrace(frag.host, tour.steps + tour.steps)
+    walk = DoubleTrace._of(frag.host, tour.steps + tour.steps)
     return _repair_to_strong(walk, sorted(frag.vertices), "doubled tour")
 
 
 # ---------------------------------------------------------------------------
 # Walk surgery
 # ---------------------------------------------------------------------------
+
+
+def _heads(host: Host, steps: Sequence[Step]) -> list[int]:
+    tail = host.dart_tails
+    return [tail[2 * e + 1 - f] for e, f in steps]
+
+
+def _splice(w1: tuple, w2: tuple, v: int) -> tuple:
+    """``merge_closed_walks`` on (steps, heads) pairs; a step departs from the
+    head of the one before it, so both ends are found by ``list.index``.
+    Raises ValueError when v is missing from either walk."""
+    (s1, h1), (s2, h2) = w1, w2
+    i = h1.index(v) + 1
+    j = 0 if h2[-1] == v else h2.index(v) + 1
+    return (
+        s1[:i] + s2[j:] + s2[:j] + s1[i:],
+        h1[:i] + h2[j:] + h2[:j] + h1[i:],
+    )
 
 
 def merge_closed_walks(w1: ClosedWalk, w2: ClosedWalk, v: int) -> ClosedWalk:
@@ -193,16 +200,81 @@ def merge_closed_walks(w1: ClosedWalk, w2: ClosedWalk, v: int) -> ClosedWalk:
         return w1
     if not w1.steps:
         return w2
-    arrivals = [t for t in range(len(w1.steps)) if w1.head(t) == v]
-    departures = [t for t in range(len(w2.steps)) if w2.tail(t) == v]
-    if not arrivals or not departures:
-        raise PreconditionError(f"vertex {v} does not occur in both walks")
-    i = arrivals[0]
-    j = departures[0]
-    steps = (
-        w1.steps[: i + 1] + w2.steps[j:] + w2.steps[:j] + w1.steps[i + 1 :]
-    )
-    return ClosedWalk(w1.host, steps)
+    pair = [(w.steps, _heads(w1.host, w.steps)) for w in (w1, w2)]
+    try:
+        steps, _ = _splice(*pair, v)
+    except ValueError:
+        raise PreconditionError(f"vertex {v} does not occur in both walks") from None
+    return ClosedWalk._of(w1.host, steps)
+
+
+class _Surgery:
+    """Repetition surgery on a closed walk kept as a list of step positions.
+
+    Surgery reorders steps but never changes them, so one ``WalkIndex`` and
+    one table of each edge's traversals serve every cut; a cut relinks
+    three steps, all at the vertex cut.  A visit's in-edge and out-edge
+    share a class, so the class of a departure is read from its own edge.
+    """
+
+    def __init__(self, walk: ClosedWalk, index: WalkIndex):
+        self.walk, self.index = walk, index
+        self.order = list(range(len(walk.steps)))  # step positions in walk order
+        self.traversals: dict[int, list[int]] = {}
+        for t, (e, _) in enumerate(walk.steps):
+            self.traversals.setdefault(e, []).append(t)
+
+    def same_direction(self, e: int) -> bool:
+        a, b = self.walk.host.endpoints(e)
+        steps, ts = self.walk.steps, self.traversals[e]
+        return a != b and len(ts) == 2 and steps[ts[0]][1] == steps[ts[1]][1]
+
+    def result(self) -> ClosedWalk:
+        w = self.walk
+        return type(w)._of(w.host, tuple([w.steps[t] for t in self.order]))
+
+    def join(self, v: int, classes: list[list[int]]) -> list[list[int]]:
+        """Cut at ``v`` as ``reduce_repetition`` does; returns the classes
+        at v after the cut, in which the two it cut are one."""
+        host, steps = self.walk.host, self.walk.steps
+        order, L = self.order, len(steps)
+        leaving = self.index.departures[v]
+        if len(leaving) < 3:
+            raise SurgeryInapplicableError(f"vertex {v} occurs only {len(leaving)} times")
+        first = next((c for c in classes if any(map(self.same_direction, c))), None)
+        if first is None:
+            raise SurgeryInapplicableError(
+                f"no edge at vertex {v} is traversed twice in one direction"
+            )
+        chosen = next(filter(self.same_direction, first))
+        second = next(c for c in classes if c is not first)
+        t1, t2 = sorted(map(order.index, self.traversals[chosen]))
+        toward = step_head(host, steps[order[t1]]) == v
+        dA = (t1 + 1) % L if toward else t1
+        dB = (t2 + 1) % L if toward else t2
+        in_second = set(second)
+        second_deps = [order.index(d) for d in leaving if steps[d][0] in in_second]
+
+        def pick(d1: int, d2: int) -> Optional[tuple[int, int, int]]:
+            span = (d1 - d2) % L
+            after = [t for t in second_deps if 0 < (t - d2) % L < span]
+            if not after:
+                return None
+            return d1, d2, min(after, key=lambda t: (t - d2) % L)
+
+        cut = pick(dA, dB) or pick(dB, dA)
+        if cut is None:
+            raise InternalConsistencyError(
+                f"no visit of the second class follows either traversal at {v}"
+            )
+        d1, d2, d3 = cut
+
+        def seg(a: int, b: int) -> list[int]:
+            return order[a:b] if a < b else order[a:] + order[:b]
+
+        self.order = seg(d2, d3) + seg(d1, d2) + seg(d3, d1)
+        rest = [c for c in classes if c is not first and c is not second]
+        return sorted(rest + [sorted(first + second)])
 
 
 def reduce_repetition(w: DoubleTrace, v: int) -> DoubleTrace:
@@ -215,73 +287,14 @@ def reduce_repetition(w: DoubleTrace, v: int) -> DoubleTrace:
     step keeps its own direction and all other vertices keep their exact
     adjacencies.
     """
-    host = w.host
-    L = len(w.steps)
-    ts = transition_system(w, v)
-    comps = ts.components
-    if len(comps) < 2:
+    surgery = _Surgery(w, WalkIndex(w.host, w.steps))
+    classes = surgery.index.classes(v)
+    if len(classes) < 2:
         raise SurgeryInapplicableError(
             f"walk has a single transition class at vertex {v}"
         )
-    if len(ts.links) < 3:
-        raise SurgeryInapplicableError(
-            f"vertex {v} occurs only {len(ts.links)} times"
-        )
-
-    uses: dict[int, list[int]] = {}
-    for e, f in w.steps:
-        uses.setdefault(e, []).append(f)
-
-    def qualifies(e: int) -> bool:
-        a, b = host.endpoints(e)
-        if a == b:
-            return False
-        fs = uses.get(e, ())
-        return len(fs) == 2 and fs[0] == fs[1]
-
-    chosen = None
-    first_comp = None
-    for comp in comps:  # ordered by lowest member
-        cands = sorted(e for e in comp if qualifies(e))
-        if cands:
-            chosen = cands[0]
-            first_comp = comp
-            break
-    if chosen is None:
-        raise SurgeryInapplicableError(
-            f"no edge at vertex {v} is traversed twice in one direction"
-        )
-    second_comp = next(c for c in comps if c is not first_comp)
-
-    t1, t2 = (t for t in range(L) if w.steps[t][0] == chosen)
-    toward = w.head(t1) == v
-    dA = (t1 + 1) % L if toward else t1
-    dB = (t2 + 1) % L if toward else t2
-    second_deps = [
-        t
-        for t in range(L)
-        if w.tail(t) == v and w.steps[(t - 1) % L][0] in second_comp
-    ]
-
-    def pick(d1: int, d2: int) -> Optional[tuple[int, int, int]]:
-        span = (d1 - d2) % L
-        after = [t for t in second_deps if 0 < (t - d2) % L < span]
-        if not after:
-            return None
-        return d1, d2, min(after, key=lambda t: (t - d2) % L)
-
-    cut = pick(dA, dB) or pick(dB, dA)
-    if cut is None:
-        raise InternalConsistencyError(
-            f"no visit of the second class follows either traversal at {v}"
-        )
-    d1, d2, d3 = cut
-
-    def seg(a: int, b: int) -> tuple[Step, ...]:
-        return w.steps[a:b] if a < b else w.steps[a:] + w.steps[:b]
-
-    reordered = seg(d2, d3) + seg(d1, d2) + seg(d3, d1)
-    return type(w)(host, reordered)
+    surgery.join(v, classes)
+    return surgery.result()
 
 
 def _repair_to_strong(
@@ -290,20 +303,30 @@ def _repair_to_strong(
     """Apply repetition surgery until every listed vertex has one class.
 
     Surgery at one vertex never disturbs the others, so a single ascending
-    pass settles the whole walk.  The callers only reach this point with
-    walks whose repetition vertices all carry a same-direction edge; running
-    out of moves therefore indicates a defect, not bad input.
+    pass settles the whole walk, and the one index of the input names the
+    vertices with more than one class.  Each cut joins the two classes it
+    cuts and no other: in a double trace every edge end at v lies on an
+    even number of links, so a class stays connected when the cut takes one
+    of its links, and the two new links each join one class to the other.
+    The callers only reach this point with walks whose repetition vertices
+    all carry a same-direction edge; running out of moves therefore
+    indicates a defect, not bad input.
     """
-    w = walk
-    for v in vertices:
-        while len(transition_system(w, v).components) > 1:
+    index = WalkIndex(walk.host, walk.steps)
+    todo = [(v, c) for v in vertices if len(c := index.classes(v)) > 1]
+    if not todo:
+        return walk
+    surgery = _Surgery(walk, index)
+    for v, classes in todo:
+        while len(classes) > 1:
             try:
-                w = reduce_repetition(w, v)
+                classes = surgery.join(v, classes)
             except SurgeryInapplicableError as exc:
                 raise InternalConsistencyError(
-                    f"{what}: stuck repetition at vertex {v} in walk {w.steps!r}"
+                    f"{what}: stuck repetition at vertex {v} in walk "
+                    f"{surgery.result().steps!r}"
                 ) from exc
-    return w
+    return surgery.result()
 
 
 # ---------------------------------------------------------------------------
@@ -368,31 +391,32 @@ def _one_face_walk(host: Host, cert: SpanningTreeCertificate) -> tuple[Step, ...
     merging the two faces again.
     """
     n, m = host.vertex_count, host.edge_count
-
-    def tail(d: int) -> int:
-        return host.endpoints(d >> 1)[d & 1]
-
+    tail = host.dart_tails
     rot = [-1] * (2 * m)
     first = [-1] * n  # a dart at each vertex, once it has one
 
     def insert(d: int, after: int) -> None:
         if after < 0:
             rot[d] = d
-            first[tail(d)] = d
+            first[tail[d]] = d
         else:
             rot[d], rot[after] = rot[after], d
 
     darts: list[list[int]] = [[] for _ in range(n)]
     for e in sorted(cert.tree_edges):
-        darts[tail(2 * e)].append(2 * e)
-        darts[tail(2 * e + 1)].append(2 * e + 1)
+        darts[tail[2 * e]].append(2 * e)
+        darts[tail[2 * e + 1]].append(2 * e + 1)
     up = [-1] * n  # each vertex's dart toward vertex 0
     order = [0] if n else []
     for v in order:
         ring = [d for d in darts[v] if d != up[v]]
         for d in ring:
-            up[tail(d ^ 1)] = d ^ 1
-            order.append(tail(d ^ 1))
+            if len(order) == n:
+                raise InternalConsistencyError(
+                    f"tree edges {sorted(cert.tree_edges)!r} close a cycle"
+                )
+            up[tail[d ^ 1]] = d ^ 1
+            order.append(tail[d ^ 1])
         if up[v] >= 0:
             ring.insert(0, up[v])
         for k, d in enumerate(ring):
@@ -402,12 +426,12 @@ def _one_face_walk(host: Host, cert: SpanningTreeCertificate) -> tuple[Step, ...
 
     for comp in cert.co_tree_report:
         for e1, e2, v in _adjacent_pairs(host, sorted(comp.edges)):
-            d1 = 2 * e1 + (tail(2 * e1) != v)
-            insert(d1 ^ 1, first[tail(d1 ^ 1)])
+            d1 = 2 * e1 + (tail[2 * e1] != v)
+            insert(d1 ^ 1, first[tail[d1 ^ 1]])
             before = first[v]
             insert(d1, before)
-            d2 = 2 * e2 + (tail(2 * e2) != v)
-            far = first[tail(d2 ^ 1)]
+            d2 = 2 * e2 + (tail[2 * e2] != v)
+            far = first[tail[d2 ^ 1]]
             # the corner after ``far`` lies on the face of rot[far]; e2
             # leaves v through the corner on the other face
             side = d1 if _on_face_of(rot, d1, rot[far]) else before
@@ -468,7 +492,7 @@ def antiparallel_strong_trace(
         raise PreconditionError(
             "certificate does not fit this graph or leaves an odd co-tree component"
         )
-    return DoubleTrace(g, _one_face_walk(g, cert))
+    return DoubleTrace._of(g, _one_face_walk(g, cert))
 
 
 def _splittable_edge(h: Graph, comp, v: int, attach: Sequence[int]) -> int:
@@ -522,11 +546,10 @@ def antiparallel_double_trace_with_repetitions_in(
     for v in witness:
         if not (0 <= v < g.vertex_count):
             raise InputError(f"witness vertex {v} out of range")
-    if (
-        not isinstance(cert, SpanningTreeCertificate)
-        or cert.host != g
-        or not cert.revalidate(witness | {v for v, _, _ in splits})
-    ):
+    report = None
+    if isinstance(cert, SpanningTreeCertificate) and cert.host == g:
+        report = cert.fresh_report(witness | {v for v, _, _ in splits})
+    if report is None:
         raise PreconditionError(
             "certificate does not certify this graph and witness set"
         )
@@ -534,29 +557,37 @@ def antiparallel_double_trace_with_repetitions_in(
     edges = list(g.edges)
     n = g.vertex_count
     tree = set(cert.tree_edges)
-    for v, moved, f in splits:
-        _split_vertex(edges, v, n, moved)
-        n += 1
-        tree.add(f)
-    while True:
+    h = g
+    if splits:
+        for v, moved, f in splits:
+            _split_vertex(edges, v, n, moved)
+            n += 1
+            tree.add(f)
         h = Graph(n, tuple(edges))
-        co = [i for i in range(len(edges)) if i not in tree]
-        report = components_with_parity(induced_edge_subgraph(h, co), witness)
-        odd = [c for c in report if c.odd]
-        if not odd:
-            break
-        comp = odd[0]
+        report = _co_tree_report(h, tree, witness)
+    # splitting one odd component touches no other, so all of them are
+    # split on one graph, and the split graph is built once
+    odd = [c for c in report if c.odd]
+    for comp in odd:
         v = min(u for u in comp.vertices if u in witness)
         attach = sorted(i for i in comp.edges if v in h.endpoints(i))
         e = _splittable_edge(h, comp, v, attach)
         _split_vertex(edges, v, n, attach)
         n += 1
         tree.add(e)
-
-    # the last pass left every co-tree component even
-    split_walk = antiparallel_strong_trace(h, SpanningTreeCertificate(h, frozenset(tree), report))
+    if odd:
+        h = Graph(n, tuple(edges))
+        report = _co_tree_report(h, tree, witness)
+    # every co-tree component is even now, and the one-face walk checks
+    # that its single face covers every edge twice
+    steps = _one_face_walk(h, SpanningTreeCertificate(h, frozenset(tree), report))
     # indices and flags carry over verbatim; only vertex names differ
-    return DoubleTrace(g, split_walk.steps)
+    return DoubleTrace._of(g, steps)
+
+
+def _co_tree_report(h: Graph, tree, witness) -> ComponentReport:
+    co = [i for i in range(h.edge_count) if i not in tree]
+    return components_with_parity(induced_edge_subgraph(h, co), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -845,14 +876,7 @@ class WalkFamily:
     open: tuple[OpenWalk, ...]
 
     def direction_counts(self) -> dict[Step, int]:
-        counts: dict[Step, int] = {}
-        for w in self.closed:
-            for s in w.steps:
-                counts[s] = counts.get(s, 0) + 1
-        for w in self.open:
-            for s in w.steps:
-                counts[s] = counts.get(s, 0) + 1
-        return counts
+        return Counter(s for w in (*self.closed, *self.open) for s in w.steps)
 
     def problems(self) -> tuple[str, ...]:
         out = []
@@ -922,12 +946,12 @@ def _cut_quotient_walk(
     """Lift the quotient trace to host steps, cutting at every arrival in a
     contracted vertex; the cut starts at the lowest contracted vertex's
     lowest outgoing step."""
-    q = cmap.quotient
+    q_tail, tail = cmap.quotient.dart_tails, host.dart_tails
     marked = cmap.eprime_vertices
     anchors = [
-        (step_tail(q, s), s[0], s[1], t)
-        for t, s in enumerate(q_steps)
-        if step_tail(q, s) in marked
+        (q_tail[2 * e + f], e, f, t)
+        for t, (e, f) in enumerate(q_steps)
+        if q_tail[2 * e + f] in marked
     ]
     if not anchors:
         raise InternalConsistencyError("quotient walk never meets a contracted vertex")
@@ -939,11 +963,11 @@ def _cut_quotient_walk(
     cur: list[Step] = []
     for qe, f in rot:
         cur.append((cmap.edge_origin[qe], f))
-        if step_head(q, (qe, f)) in marked:
-            z0 = step_tail(host, cur[0])
-            z1 = step_head(host, cur[-1])
+        if q_tail[2 * qe + 1 - f] in marked:
+            (e0, f0), (e1, f1) = cur[0], cur[-1]
+            z0, z1 = tail[2 * e0 + f0], tail[2 * e1 + 1 - f1]
             if z0 == z1:
-                closed.append(ClosedWalk(host, tuple(cur)))
+                closed.append(ClosedWalk._of(host, tuple(cur)))
             else:
                 opened.append(
                     OpenWalk(host, tuple(cur), comp_of[z0], comp_of[z1])
@@ -954,15 +978,19 @@ def _cut_quotient_walk(
     return WalkFamily(tuple(closed), tuple(opened))
 
 
-def _close_open_walks(family: WalkFamily) -> list[ClosedWalk]:
-    """Chain open walks end to start until each chain closes.
+def _close_open_walks(family: WalkFamily) -> list[tuple[Step, ...]]:
+    """Chain open walks end to start until each chain closes, each time
+    with the first unused walk that starts where the chain ends.
 
     Within the family every vertex is entered as often as it is left, so a
     continuation always exists while a chain is open.
     """
     walks = family.open
     used = [False] * len(walks)
-    chains: list[ClosedWalk] = []
+    starting: dict[int, list[int]] = {}  # unused walks by start, first last
+    for k in reversed(range(len(walks))):
+        starting.setdefault(walks[k].start_vertex, []).append(k)
+    chains: list[tuple[Step, ...]] = []
     for seed in range(len(walks)):
         if used[seed]:
             continue
@@ -972,41 +1000,39 @@ def _close_open_walks(family: WalkFamily) -> list[ClosedWalk]:
         origin = first.start_vertex
         cur = first.end_vertex
         while cur != origin:
-            nxt = next(
-                (
-                    k
-                    for k in range(len(walks))
-                    if not used[k] and walks[k].start_vertex == cur
-                ),
-                None,
-            )
-            if nxt is None:
+            queue = starting.get(cur, [])
+            while queue and used[queue[-1]]:
+                queue.pop()
+            if not queue:
                 raise InternalConsistencyError(
                     f"open walks are unbalanced at vertex {cur}"
                 )
+            nxt = queue.pop()
             used[nxt] = True
             steps.extend(walks[nxt].steps)
             cur = walks[nxt].end_vertex
-        chains.append(ClosedWalk(first.host, tuple(steps)))
+        chains.append(tuple(steps))
     return chains
 
 
 def _merge_family(
-    walks: Sequence[ClosedWalk], allowed: frozenset[int]
-) -> ClosedWalk:
-    """Merge the family into one closed walk, splicing only at ``allowed``
-    vertices.
+    host: Host, walks: Sequence[Sequence[Step]], allowed: frozenset[int]
+) -> Sequence[Step]:
+    """Merge the family of closed walks, given by their steps, into one,
+    splicing only at ``allowed`` vertices.
 
     Splicing rewires two transition links at the splice vertex and can
     split a class there, so only vertices where surgery stays applicable
     (the contracted-fragment ones, which carry same-direction edges) are
     safe.  Each member has such a vertex and consecutive quotient pieces
     share theirs, so the family always connects through allowed vertices.
+    Each walk's heads are listed once; every splice then finds its ends
+    by ``list.index`` and joins slices, as ``merge_closed_walks`` would.
     """
-    pool = [w for w in walks if w.steps]
+    pool = [(w, _heads(host, w)) for w in walks if w]
     if not pool:
         raise InternalConsistencyError("nothing to merge")
-    verts = [frozenset(w.vertices()) & allowed for w in pool]
+    verts = [allowed.intersection(heads) for _, heads in pool]
     while len(pool) > 1:
         found = None
         for i in range(len(pool)):
@@ -1020,11 +1046,11 @@ def _merge_family(
         if found is None:
             raise InternalConsistencyError("walk family is not connected")
         i, j, v = found
-        pool[i] = merge_closed_walks(pool[i], pool[j], v)
+        pool[i] = _splice(pool[i], pool[j], v)
         verts[i] = verts[i] | verts[j]
         del pool[j]
         del verts[j]
-    return pool[0]
+    return pool[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -1035,16 +1061,6 @@ def _merge_family(
 def _require_connected(host: Host) -> None:
     if not is_connected(host):
         raise PreconditionError("graph is disconnected")
-
-
-def _component_traces(
-    host: Host, report: ComponentReport
-) -> list[DoubleTrace]:
-    out = []
-    for comp in report:
-        frag = induced_edge_subgraph(host, sorted(comp.edges))
-        out.append(parallel_strong_trace(frag))
-    return out
 
 
 def _family_counts_ok(family: WalkFamily, cmap: ContractionMap) -> None:
@@ -1074,31 +1090,28 @@ def _assemble_restricted(
         simp.graph, cmap.eprime_vertices, cert, splits
     )
     q_steps = _project_simplified(simp, quotient_walk.steps)
+    if len(cmap.edge_origin) == host.edge_count:
+        return DoubleTrace._of(host, tuple([(cmap.edge_origin[qe], f) for qe, f in q_steps]))
+    # the contraction found the fragment's components: each is the set of
+    # contracted edges on one quotient vertex, taken in order of least edge
     survivors = frozenset(cmap.edge_origin)
-    fragment_edges = [i for i in range(host.edge_count) if i not in survivors]
-    if not fragment_edges:
-        steps = tuple((cmap.edge_origin[qe], f) for qe, f in q_steps)
-        return DoubleTrace(host, steps)
-    frag = induced_edge_subgraph(host, fragment_edges)
-    report = components_with_parity(frag)
-    comp_of: dict[int, int] = {}
-    for idx, comp in enumerate(report):
-        for v in comp.vertices:
-            comp_of[v] = idx
+    parts: dict[int, list[int]] = {}
+    for i in range(host.edge_count):
+        if i not in survivors:
+            parts.setdefault(cmap.vertex_image[host.endpoints(i)[0]], []).append(i)
+    rank = {image: k for k, image in enumerate(parts)}
+    comp_of = {v: rank[q] for v, q in enumerate(cmap.vertex_image) if q in rank}
 
-    traces = _component_traces(host, report)
     family = _cut_quotient_walk(host, cmap, q_steps, comp_of)
     _family_counts_ok(family, cmap)
-    chains = _close_open_walks(family)
-    merged = _merge_family(
-        list(traces) + list(family.closed) + chains, frozenset(comp_of)
-    )
-    if len(merged.steps) != 2 * host.edge_count:
+    walks = [parallel_strong_trace(induced_edge_subgraph(host, p)).steps for p in parts.values()]
+    walks += [w.steps for w in family.closed] + _close_open_walks(family)
+    merged = _merge_family(host, walks, frozenset(comp_of))
+    if len(merged) != 2 * host.edge_count:
         raise InternalConsistencyError(
-            f"assembled walk has {len(merged.steps)} steps, "
-            f"expected {2 * host.edge_count}"
+            f"assembled walk has {len(merged)} steps, expected {2 * host.edge_count}"
         )
-    walk = DoubleTrace(host, merged.steps)
+    walk = DoubleTrace._of(host, tuple(merged))
     return _repair_to_strong(walk, sorted(comp_of), "assembled trace")
 
 
@@ -1109,7 +1122,8 @@ def _restricted_trace(
     answer: FeasibilityAnswer,
 ) -> DoubleTrace:
     """The restricted strong (``d`` None) or d-stable trace behind
-    ``answer``, the verdict on the same query; nothing is decided again.
+    ``answer``, the verdict on the same query; its quotient analysis is
+    used as it is, so nothing is decided, contracted or simplified again.
 
     An empty restriction yields the all-parallel construction.  Otherwise
     the verdict's tree drives the contraction pipeline, which finishes with
@@ -1128,10 +1142,12 @@ def _restricted_trace(
         )
     if not r.antiparallel_edges:
         return parallel_strong_trace(host)
-    analysis = _restricted_analysis(host, r)
+    analysis = answer.analysis
     cert, splits = answer.certificate, []
     contracted = analysis.witness_on_simplified()
-    if d is not None and not cert.revalidate(contracted):
+    if d is not None and any(
+        c.odd and not any(map(contracted, c.vertices)) for c in cert.co_tree_report
+    ):
         cert, splits = _degree_bar_certificate(
             analysis.simplified.graph,
             cert,
@@ -1143,9 +1159,10 @@ def _restricted_trace(
     return _assemble_restricted(host, analysis, cert, splits)
 
 
-def _t_join_certificate(g: Graph) -> tuple[RestrictionSet, SpanningTreeCertificate]:
-    """An antiparallel set A that a strong trace of ``g`` can take, with an
-    admissible tree of its quotient, both written down in O(m).
+def _t_join_certificate(g: Graph) -> tuple[RestrictionSet, FeasibilityAnswer]:
+    """An antiparallel set A that a strong trace of ``g`` can take, and the
+    positive answer for it: an admissible tree of its quotient and the
+    quotient analysis, all written down in O(m).
 
     A is the T-join, T the odd-degree vertices, inside the breadth-first tree
     from vertex 0 (Edmonds-Johnson 1973): peeling the leaves, a tree edge
@@ -1191,16 +1208,15 @@ def _t_join_certificate(g: Graph) -> tuple[RestrictionSet, SpanningTreeCertifica
         if a != b:
             parent[a] = b
             tree.add(e)
-    co = [i for i in range(h.edge_count) if i not in tree]
-    report = components_with_parity(induced_edge_subgraph(h, co), contracted)
-    return r, SpanningTreeCertificate(h, frozenset(tree), report)
+    cert = SpanningTreeCertificate(h, frozenset(tree), _co_tree_report(h, tree, contracted))
+    return r, FeasibilityAnswer(True, cert, analysis=analysis)
 
 
 def _free_direction_trace(g: Graph) -> DoubleTrace:
     """A strong trace of ``g`` on its T-join, built without a tree search;
     it is d-stable whenever every degree exceeds d."""
-    r, cert = _t_join_certificate(g)
-    return _restricted_trace(g, r, None, FeasibilityAnswer(True, certificate=cert))
+    r, answer = _t_join_certificate(g)
+    return _restricted_trace(g, r, None, answer)
 
 
 def _restricted_double_trace(host: Host, r: RestrictionSet) -> DoubleTrace:
@@ -1211,15 +1227,14 @@ def _restricted_double_trace(host: Host, r: RestrictionSet) -> DoubleTrace:
     other edges by its Euler tour twice over, and the pieces are spliced at
     shared vertices.  Repetitions are allowed, so no surgery runs.
     """
-    pieces = [ClosedWalk(host, ((e, 0), (e, 1))) for e in sorted(r.antiparallel_edges)]
+    pieces = [((e, 0), (e, 1)) for e in sorted(r.antiparallel_edges)]
     frag = induced_edge_subgraph(host, r.complement(host))
     for comp in components_with_parity(frag):
-        tour = euler_tour(induced_edge_subgraph(host, comp.edges))
-        pieces.append(ClosedWalk(host, tour.steps * 2))
+        pieces.append(euler_tour(induced_edge_subgraph(host, comp.edges)).steps * 2)
     if not pieces:
-        return DoubleTrace(host, ())
-    merged = _merge_family(pieces, frozenset(range(host.vertex_count)))
-    return DoubleTrace(host, merged.steps)
+        return DoubleTrace._of(host, ())
+    merged = _merge_family(host, pieces, frozenset(range(host.vertex_count)))
+    return DoubleTrace._of(host, tuple(merged))
 
 
 def build_E_restricted_strong_trace(g: Graph, r: RestrictionSet) -> DoubleTrace:

@@ -9,8 +9,8 @@ them raise CapacityError rather than guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Collection, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, Collection, Optional, Sequence, Union
 
 from .errors import CapacityError, InputError, PreconditionError
 from .graphs import (
@@ -58,10 +58,15 @@ class SpanningTreeCertificate:
     def revalidate(self, witness: WitnessSpec = None) -> bool:
         """Recheck the invariants from scratch: spanning tree shape, co-tree
         coverage, and per-component admissibility under ``witness``."""
+        return self.fresh_report(witness) is not None
+
+    def fresh_report(self, witness: WitnessSpec = None) -> Optional[ComponentReport]:
+        """The co-tree report recomputed under ``witness`` when ``revalidate``
+        holds, else None."""
         host = self.host
         n = host.vertex_count
         if len(self.tree_edges) != max(n - 1, 0):
-            return False
+            return None
         parent = list(range(n))
 
         def find(x: int) -> int:
@@ -74,23 +79,25 @@ class SpanningTreeCertificate:
             a, b = host.endpoints(i)
             ra, rb = find(a), find(b)
             if ra == rb:
-                return False  # cycle
+                return None  # cycle
             parent[ra] = rb
         if n > 0 and len({find(v) for v in range(n)}) != 1:
-            return False
+            return None
         co_tree = [i for i in range(host.edge_count) if i not in self.tree_edges]
         reported = sorted(i for c in self.co_tree_report for i in c.edges)
         if reported != co_tree:
-            return False
+            return None
         fresh = components_with_parity(
             induced_edge_subgraph(host, co_tree), _as_predicate(witness)
         )
         if len(fresh) != len(self.co_tree_report):
-            return False
+            return None
         for a, b in zip(fresh, self.co_tree_report):
             if a.edges != b.edges or a.odd != b.odd:
-                return False
-        return all(not c.odd or c.has_witness for c in fresh)
+                return None
+        if any(c.odd and not c.has_witness for c in fresh):
+            return None
+        return fresh
 
 
 @dataclass(frozen=True)
@@ -99,13 +106,15 @@ class FeasibilityAnswer:
 
     True verdicts carry the certificates their characterization requires (a spanning
     tree analysis and/or an even fragment); false verdicts name at least one
-    violated condition.
+    violated condition.  A restricted positive also keeps the quotient
+    analysis its tree was searched on, so the trace is built on it.
     """
 
     verdict: bool
     certificate: Optional[SpanningTreeCertificate] = None
     even_fragment: Optional[EdgeFragment] = None
     violated: tuple[str, ...] = ()
+    analysis: Optional[RestrictedAnalysis] = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -442,7 +451,7 @@ def _restricted_verdict(
         analysis.simplified.graph, analysis.witness_on_simplified(bar)
     )
     if cert is not None:
-        return FeasibilityAnswer(True, certificate=cert, even_fragment=frag)
+        return FeasibilityAnswer(True, cert, frag, analysis=analysis)
     reason = (
         "every spanning tree of the quotient leaves an odd co-tree component "
         "without a contracted vertex"
@@ -485,16 +494,20 @@ def has_E_restricted_d_stable_trace_mixed(
 # ---------------------------------------------------------------------------
 
 
-def _balanced_orientation(
-    nverts: list[int],
-    und: list[tuple[int, int]],
-    arcs: list[tuple[int, int]],
-    degree: dict[int, int],
-) -> Optional[list[int]]:
-    """Orient the undirected edges so every vertex has equal in- and
-    out-degree, or report that none exists.  Max-flow matching tails to
-    edges; the k-th result entry is 0 when und[k] keeps its stored order
+def _balanced_orientation(host: Host, edges: Sequence[int]) -> Optional[list[int]]:
+    """Orient the undirected ones of ``edges``, given in ascending order, so
+    that every vertex has equal in- and out-degree over all of them, or
+    report that none exists.  Max-flow matching tails to edges; the k-th
+    result entry is 0 when the k-th undirected edge keeps its stored order
     and 1 when it is reversed."""
+    split = len(host.edges)  # arcs are indexed after the undirected edges
+    und = [host.endpoints(i) for i in edges if i < split]
+    arcs = [host.endpoints(i) for i in edges if i >= split]
+    degree: dict[int, int] = {}
+    for a, b in und + arcs:
+        degree[a] = degree.get(a, 0) + 1
+        degree[b] = degree.get(b, 0) + 1
+    nverts = sorted(degree)
     out_a: dict[int, int] = {v: 0 for v in nverts}
     in_a: dict[int, int] = {v: 0 for v in nverts}
     for t, h in arcs:
@@ -562,28 +575,11 @@ def _balanced_orientation(
     return tails
 
 
-def _piece_degrees(
-    verts: Collection[int],
-    und: Collection[tuple[int, int]],
-    arcs: Collection[tuple[int, int]],
-) -> dict[int, int]:
-    degree = {v: 0 for v in verts}
-    for a, c in und:
-        degree[a] += 1
-        degree[c] += 1
-    for t, h in arcs:
-        degree[t] += 1
-        degree[h] += 1
-    return degree
-
-
 def mixed_euler_feasible(b: MixedGraph) -> bool:
     """Whether a closed walk can traverse every undirected edge and arc
     exactly once, respecting arc directions."""
     _reject_disconnected(b)
-    verts = list(range(b.vertex_count))
-    degree = _piece_degrees(verts, b.edges, b.arcs)
-    return _balanced_orientation(verts, list(b.edges), list(b.arcs), degree) is not None
+    return _balanced_orientation(b, range(b.edge_count)) is not None
 
 
 def mixed_cut_condition(b: MixedGraph, *, max_vertices: int = 8) -> bool:
@@ -606,47 +602,14 @@ def mixed_cut_condition(b: MixedGraph, *, max_vertices: int = 8) -> bool:
     return True
 
 
-def _mixed_fragment_components(
-    b: MixedGraph, eprime: Collection[int]
-) -> list[tuple[list[int], list[tuple[int, int]], list[tuple[int, int]]]]:
-    """Components of the subgraph made of the eprime undirected edges plus
-    every arc: (vertices, undirected endpoint pairs, arc pairs) per part."""
-    parent = list(range(b.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pieces = [b.edges[i] for i in sorted(eprime)] + list(b.arcs)
-    for a, c in pieces:
-        ra, rc = find(a), find(c)
-        if ra != rc:
-            parent[ra] = rc
-    groups: dict[int, list[int]] = {}
-    touched = set()
-    for a, c in pieces:
-        touched.add(a)
-        touched.add(c)
-    for v in sorted(touched):
-        groups.setdefault(find(v), []).append(v)
-    out = []
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        verts = groups[root]
-        vset = set(verts)
-        und = [b.edges[i] for i in sorted(eprime) if b.edges[i][0] in vset]
-        arcs = [(t, h) for t, h in b.arcs if t in vset]
-        out.append((verts, und, arcs))
-    return out
-
-
 def _unbalanced_fragment(b: MixedGraph, eprime: Collection[int]) -> Optional[str]:
-    for verts, und, arcs in _mixed_fragment_components(b, eprime):
-        degree = _piece_degrees(verts, und, arcs)
-        if _balanced_orientation(verts, und, arcs, degree) is None:
+    """The first component, by least vertex, of the eprime undirected edges
+    plus every arc that no direction-respecting Euler tour covers."""
+    frag = induced_edge_subgraph(b, [*eprime, *range(len(b.edges), b.edge_count)])
+    for comp in sorted(components_with_parity(frag), key=lambda c: min(c.vertices)):
+        if _balanced_orientation(b, sorted(comp.edges)) is None:
             return (
-                f"fragment component on vertices {verts} admits no "
+                f"fragment component on vertices {sorted(comp.vertices)} admits no "
                 "direction-respecting Euler tour"
             )
     return None

@@ -45,9 +45,9 @@ class Host:
     """Vertices ``0..vertex_count-1``, undirected ``edges`` and, on a
     :class:`MixedGraph`, direction-fixed ``arcs`` indexed after the edges.
 
-    Incidence, degree and connectivity are computed on first use and kept
-    outside the fields, so equality, hashing and pickling see only the
-    fields.
+    Incidence, degree, dart tails and connectivity are computed on first
+    use and kept outside the fields, so equality, hashing and pickling see
+    only the fields.
     """
 
     vertex_count: int
@@ -71,6 +71,12 @@ class Host:
     @cached_property
     def _ends(self) -> tuple[tuple[int, int], ...]:
         return self.edges + self.arcs
+
+    @cached_property
+    def dart_tails(self) -> tuple[int, ...]:
+        """The tail of step ``(e, f)`` at index ``2e + f``: endpoint ``f``
+        of edge ``e``.  Its head is at index ``2e + 1 - f``."""
+        return tuple(v for ends in self._ends for v in ends)
 
     @cached_property
     def _incidence(self) -> tuple[tuple[int, ...], ...]:
@@ -363,34 +369,37 @@ def render_graph(host: Host, restriction: Optional[RestrictionSet] = None) -> st
 @dataclass(frozen=True)
 class EdgeFragment:
     """Subgraph induced by a set of edge indices: those edges plus every
-    vertex they touch (no isolated vertices)."""
+    vertex they touch (no isolated vertices).
+
+    Degrees are counted in one pass on first use and kept outside the
+    fields, as ``Host`` keeps its own.
+    """
 
     host: Host
     edges: tuple[int, ...]
     vertices: frozenset[int]
 
-    def degree(self, v: int) -> int:
-        d = 0
+    @cached_property
+    def _degrees(self) -> dict[int, int]:
+        deg = dict.fromkeys(self.vertices, 0)
         for i in self.edges:
             a, b = self.host.endpoints(i)
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
+            deg[a] += 1
+            deg[b] += 1
+        return deg
+
+    def degree(self, v: int) -> int:
+        """Fragment edges at ``v``; a loop counts twice."""
+        return self._degrees.get(v, 0)
 
 
 def induced_edge_subgraph(host: Host, edge_set: Collection[int]) -> EdgeFragment:
     """Fragment of ``host`` induced by ``edge_set`` (positional indices)."""
-    edges = tuple(sorted(set(int(i) for i in edge_set)))
-    for i in edges:
-        if not (0 <= i < host.edge_count):
-            raise InputError(f"edge index {i} out of range")
-    verts = set()
-    for i in edges:
-        a, b = host.endpoints(i)
-        verts.add(a)
-        verts.add(b)
+    edges = tuple(sorted(set(map(int, edge_set))))
+    if edges and not (0 <= edges[0] and edges[-1] < host.edge_count):
+        bad = next(i for i in edges if not 0 <= i < host.edge_count)
+        raise InputError(f"edge index {bad} out of range")
+    verts = itertools.chain.from_iterable(map(host._ends.__getitem__, edges))
     return EdgeFragment(host, edges, frozenset(verts))
 
 
@@ -447,43 +456,30 @@ def components_with_parity(
     a predicate; a component's flag is true iff it contains one.
     """
     pred = _as_predicate(witness)
-    parent: dict[int, int] = {v: v for v in fragment.vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    ends = fragment.host._ends
+    # each part is [edges, vertices]; a smaller part is merged into a larger
+    part_of: dict[int, list] = {}
     for i in fragment.edges:
-        a, b = fragment.host.endpoints(i)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    groups: dict[int, list[int]] = {}
-    for i in fragment.edges:
-        a, _ = fragment.host.endpoints(i)
-        groups.setdefault(find(a), []).append(i)
-
-    comps = []
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        edge_ids = frozenset(groups[root])
-        verts = set()
-        for i in edge_ids:
-            a, b = fragment.host.endpoints(i)
-            verts.add(a)
-            verts.add(b)
-        comps.append(
-            Component(
-                vertices=frozenset(verts),
-                edges=edge_ids,
-                edge_count=len(edge_ids),
-                odd=len(edge_ids) % 2 == 1,
-                has_witness=any(pred(v) for v in sorted(verts)),
-            )
-        )
-    return ComponentReport(tuple(comps))
+        a, b = ends[i]
+        pa = part_of.get(a) or part_of.setdefault(a, [[], [a]])
+        pb = part_of.get(b)
+        if pb is None:
+            pa[1].append(b)
+            part_of[b] = pa
+        elif pb is not pa:
+            if len(pa[1]) < len(pb[1]):
+                pa, pb = pb, pa
+            pa[0] += pb[0]
+            pa[1] += pb[1]
+            for v in pb[1]:
+                part_of[v] = pa
+        pa[0].append(i)
+    parts = sorted({id(p): p for p in part_of.values()}.values(), key=lambda p: min(p[0]))
+    return ComponentReport(tuple(
+        # vertices, edges, edge count, parity, witness
+        Component(frozenset(vs), frozenset(es), len(es), len(es) % 2 == 1, any(map(pred, vs)))
+        for es, vs in parts
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ predicates below need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 from .graphs import Host, RestrictionSet, is_connected
@@ -45,6 +45,15 @@ class ClosedWalk:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple((int(e), int(f)) for e, f in self.steps))
+
+    @classmethod
+    def _of(cls, host: Host, steps: tuple[Step, ...]):
+        """A walk over steps that are already a tuple of int pairs, as every
+        walk the package builds itself is; nothing is normalised again."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "host", host)
+        object.__setattr__(w, "steps", steps)
+        return w
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -212,53 +221,77 @@ class TransitionSystem:
         return tuple(out)
 
 
+def link_classes(links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Components of the multigraph on edge indices that ``links`` join,
+    each sorted, ordered by their least member.  A vertex has a handful of
+    links, so groups are merged smaller into larger, without a union-find."""
+    group: dict[int, list[int]] = {}
+    count = 0
+    for a, b in links:
+        ga = group.get(a)
+        if ga is None:
+            ga = group[a] = [a]
+            count += 1
+        gb = group.get(b)
+        if gb is None:
+            ga.append(b)
+            group[b] = ga
+        elif gb is not ga:
+            if len(ga) < len(gb):
+                ga, gb = gb, ga
+            ga += gb
+            for x in gb:
+                group[x] = ga
+            count -= 1
+    if count == 1:
+        return [sorted(ga)]
+    return sorted(sorted(g) for g in {id(g): g for g in group.values()}.values())
+
+
 def transition_system(w: ClosedWalk, v: int) -> TransitionSystem:
     """Links (in-edge, out-edge) of every visit of ``v``, with components."""
     L = len(w.steps)
     links = []
-    used = set()
     for t in range(L):
         if w.tail(t) == v:
-            e_in = w.steps[(t - 1) % L][0]
-            e_out = w.steps[t][0]
-            links.append((e_in, e_out))
-            used.add(e_in)
-            used.add(e_out)
-    elements = tuple(sorted(used))
-
-    parent = {e: e for e in elements}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, set[int]] = {}
-    for e in elements:
-        groups.setdefault(find(e), set()).add(e)
-    components = tuple(
-        frozenset(groups[r]) for r in sorted(groups, key=lambda r: min(groups[r]))
-    )
+            links.append((w.steps[(t - 1) % L][0], w.steps[t][0]))
+    classes = link_classes(links)
     return TransitionSystem(
         vertex=v,
-        elements=elements,
+        elements=tuple(sorted(e for c in classes for e in c)),
         links=tuple(links),
-        components=components,
+        components=tuple(frozenset(c) for c in classes),
     )
+
+
+class WalkIndex:
+    """One pass over a closed walk: the positions that depart each vertex,
+    in walk order, from which each vertex's transition classes follow in
+    time linear in its visits.
+
+    ``transition_system`` rescans the whole walk for one vertex; the index
+    answers for every vertex after a single scan.
+    """
+
+    def __init__(self, host: Host, steps: Sequence[Step]):
+        self.steps = steps
+        self.departures: list[list[int]] = [[] for _ in range(host.vertex_count)]
+        tail = host.dart_tails
+        for t, (e, f) in enumerate(steps):
+            self.departures[tail[2 * e + f]].append(t)
+
+    def classes(self, v: int) -> list[list[int]]:
+        """The transition classes at ``v``, as ``transition_system`` orders
+        its components."""
+        steps = self.steps
+        return link_classes((steps[t - 1][0], steps[t][0]) for t in self.departures[v])
 
 
 def is_strong(w: ClosedWalk) -> bool:
     """No nontrivial repetition at any vertex: every visited vertex has a
     single transition component."""
-    for v in _walked_vertices(w):
-        if transition_system(w, v).component_count > 1:
-            return False
-    return True
+    index = WalkIndex(w.host, w.steps)
+    return all(len(index.classes(v)) <= 1 for v in range(w.host.vertex_count))
 
 
 def is_d_stable(w: ClosedWalk, d: int) -> bool:
@@ -272,14 +305,6 @@ def is_d_stable(w: ClosedWalk, d: int) -> bool:
     """
     if d < 0:
         raise InputError("d must be non-negative")
-    for v in _walked_vertices(w):
-        if transition_system(w, v).min_component_size() <= d:
-            return False
-    return True
-
-
-def _walked_vertices(w: ClosedWalk) -> Sequence[int]:
-    seen = set()
-    for t in range(len(w.steps)):
-        seen.add(w.tail(t))
-    return sorted(seen)
+    index = WalkIndex(w.host, w.steps)
+    sizes = (map(len, index.classes(v)) for v in range(w.host.vertex_count))
+    return all(min(s, default=d + 1) > d for s in sizes)

@@ -317,8 +317,8 @@ def test_criterion_3_construction_soundness():
         if free.verdict:
             check("strong", g, cli.build_trace(g, "strong", None, None, free), strong=True)
             # the free-direction build writes its certificate, unsearched
-            t_join, cert = _t_join_certificate(g)
-            if not cert.revalidate(_restricted_analysis(g, t_join).witness_on_simplified()):
+            t_join, answer = _t_join_certificate(g)
+            if not answer.certificate.revalidate(_restricted_analysis(g, t_join).witness_on_simplified()):
                 failures.append(("t-join-certificate", g.edges, None))
         for d in (1, 2, 3):
             free = has_d_stable_trace(g, d)

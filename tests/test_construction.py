@@ -3,12 +3,13 @@
 import itertools
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from doubletrace import construction, search_backend
+from doubletrace import cli, construction, search_backend, traces
 from doubletrace.construction import (
     OpenWalk,
     WalkFamily,
@@ -61,6 +62,7 @@ from doubletrace.traces import (
     ClosedWalk,
     DoubleTrace,
     RestrictionSet,
+    WalkIndex,
     check_restriction,
     classify_directions,
     is_d_stable,
@@ -668,9 +670,9 @@ class TestRestrictedStrongPipeline:
         # order edge 4-6 would close a cycle through it and leave the tree
         # with no contracted end
         g = Graph(7, [(0, 6), (1, 2), (1, 3), (1, 5), (2, 6), (3, 5), (4, 5), (4, 6)])
-        r, cert = _t_join_certificate(g)
+        r, answer = _t_join_certificate(g)
         assert r.antiparallel_edges == {0, 1, 4, 6, 7}
-        assert cert.revalidate(_restricted_analysis(g, r).witness_on_simplified())
+        assert answer.certificate.revalidate(_restricted_analysis(g, r).witness_on_simplified())
         w = _free_direction_trace(g)
         assert validate_double_trace(w).ok
         assert is_strong(w)
@@ -977,3 +979,221 @@ class TestWalkFamily:
         bad = OpenWalk(FIG8, ((0, 0), (4, 0)), 0, 1)
         fam = WalkFamily((), (bad,))
         assert fam.problems()
+
+
+def seeded_graph(rng, n, m):
+    """A connected simple graph: a random spanning tree plus random edges."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((a, b))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    return Graph(n, edges)
+
+
+def seeded_mixed(rng, n):
+    """A connected mixed host: a random spanning tree of edges and arcs,
+    plus a few random edges and arcs."""
+    und, arcs = set(), set()
+    for v in range(1, n):
+        u = rng.randrange(v)
+        if rng.random() < 0.3:
+            arcs.add((u, v) if rng.random() < 0.5 else (v, u))
+        else:
+            und.add((u, v))
+    for _ in range(rng.randint(1, n + 2)):
+        a, b = rng.sample(range(n), 2)
+        if rng.random() < 0.3:
+            arcs.add((a, b))
+        else:
+            und.add((min(a, b), max(a, b)))
+    return MixedGraph(n, sorted(und), sorted(arcs))
+
+
+def reference_repair(walk, vertices):
+    """The repair as a loop of the public transition_system and
+    reduce_repetition, rescanning the walk for every vertex and cut."""
+    for v in vertices:
+        while len(transition_system(walk, v).components) > 1:
+            walk = reduce_repetition(walk, v)
+    return walk
+
+
+class TestBuildEveryPositive:
+    """Every restricted positive builds through ``cli.build_trace`` from its
+    own verdict, with the kernel refused, into a valid trace of its kind.
+    E empty and E = every edge are the parallel and antiparallel questions;
+    ``test_cli.TestRoutedVariants`` builds those under their own names on
+    the same graphs."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a positive build reached the kernel")
+
+        monkeypatch.setattr(search_backend, "run", refuse)
+
+    def build(self, host, variant, d, file_r):
+        answer = cli.feasibility_answer(host, variant, d, file_r)
+        if not answer:
+            return 0
+        walk = cli.build_trace(host, variant, d, file_r, answer)
+        r = cli._effective_restriction(variant, host, file_r)
+        assert validate_double_trace(walk).ok, (host, r, d)
+        assert check_restriction(walk, r), (host, r, d)
+        assert is_strong(walk) if d is None else is_d_stable(walk, d), (host, r, d)
+        return 1
+
+    def test_small_simple_graphs_every_restriction(self):
+        built = 0
+        for n in range(1, 6):
+            for g in connected_graphs(n):
+                m = g.edge_count
+                at = [sum(1 << i for i in g.incident(v)) for v in range(n)]
+                for mask in range(1 << m):
+                    # a vertex of odd degree outside E refutes every order d
+                    # (the decider's first test), so only even complements
+                    # have a trace to build
+                    if any(bin(bits & ~mask).count("1") % 2 for bits in at):
+                        continue
+                    r = RestrictionSet.of(i for i in range(m) if mask >> i & 1)
+                    for d in (None, 1, 2):
+                        built += self.build(g, "restricted", d, r)
+        assert built > 5000
+
+    def test_seeded_mixed_hosts(self):
+        rng = random.Random(1717)
+        built = 0
+        for _ in range(1500):
+            b = seeded_mixed(rng, rng.randint(3, 7))
+            r = RestrictionSet.of(i for i in range(len(b.edges)) if rng.random() < 0.5)
+            for d in (None, 1, 2):
+                built += self.build(b, "restricted", d, r)
+        assert built > 100
+
+
+class TestIndexedRepair:
+    """The repair plans every cut from one index of the walk and returns the
+    steps that the loop of the public ``transition_system`` and
+    ``reduce_repetition`` reaches."""
+
+    def doubled_tours(self, rng, count):
+        """Rotated doubled Euler tours of seeded connected even multigraphs,
+        with their vertices."""
+        while count:
+            n = rng.randint(2, 10)
+            edges = []
+            for _ in range(rng.randint(1, 4)):
+                cycle = [rng.randrange(n) for _ in range(rng.randint(2, 6))]
+                edges += [(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]) if a != b]
+            g = Multigraph(n, edges)
+            frag = induced_edge_subgraph(g, range(len(edges)))
+            if not edges or len(components_with_parity(frag)) > 1:
+                continue
+            steps = euler_tour(frag).steps * 2
+            k = rng.randrange(len(steps))
+            yield DoubleTrace(g, steps[k:] + steps[:k]), sorted(frag.vertices)
+            count -= 1
+
+    def test_seeded_doubled_tours(self):
+        cuts = 0
+        for walk, vertices in self.doubled_tours(random.Random(23), 400):
+            want = reference_repair(walk, vertices)
+            assert construction._repair_to_strong(walk, vertices, "tour").steps == want.steps
+            cuts += want.steps != walk.steps
+        assert cuts > 200
+
+    def test_each_cut_joins_the_two_classes_it_cuts(self):
+        joins = 0
+        for walk, vertices in self.doubled_tours(random.Random(29), 200):
+            surgery = construction._Surgery(walk, WalkIndex(walk.host, walk.steps))
+            for v in vertices:
+                classes = surgery.index.classes(v)
+                while len(classes) > 1:
+                    classes = surgery.join(v, classes)
+                    steps = surgery.result().steps
+                    assert classes == WalkIndex(walk.host, steps).classes(v)
+                    joins += 1
+        assert joins > 200
+
+    def test_seeded_assembled_walks(self, monkeypatch):
+        seen = []
+        original = construction._repair_to_strong
+
+        def spy(walk, vertices, what):
+            out = original(walk, vertices, what)
+            if what == "assembled trace":
+                seen.append((walk, vertices, out))
+            return out
+
+        monkeypatch.setattr(construction, "_repair_to_strong", spy)
+        rng = random.Random(42)
+        while len(seen) < 150:
+            n = rng.randint(4, 9)
+            g = seeded_graph(rng, n, rng.randint(n, min(2 * n, n * (n - 1) // 2)))
+            r = RestrictionSet.of(i for i in range(g.edge_count) if rng.random() < 0.5)
+            for d in (None, 1):
+                answer = cli.feasibility_answer(g, "restricted", d, r)
+                if answer:
+                    cli.build_trace(g, "restricted", d, r, answer)
+        cuts = 0
+        for walk, vertices, out in seen:
+            want = reference_repair(walk, vertices)
+            assert out.steps == want.steps
+            cuts += want.steps != walk.steps
+        assert cuts > 50
+
+
+class CountingSteps(tuple):
+    """A step tuple that counts the steps read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        item = tuple.__getitem__(self, i)
+        self.reads += len(item) if isinstance(i, slice) else 1
+        return item
+
+    def __iter__(self):
+        for step in tuple.__iter__(self):
+            self.reads += 1
+            yield step
+
+
+class TestLinearPasses:
+    """Counts, not times: a strong build rescans the walk for no vertex, and
+    the strong and d-stable checks read each step a fixed number of times."""
+
+    def strong_trace(self, m):
+        g = seeded_graph(random.Random(m), m // 2, m)
+        return cli.build_trace(g, "strong", None, None, cli.feasibility_answer(g, "strong", None, None))
+
+    def test_strong_build_at_800_edges_rescans_nothing(self, monkeypatch):
+        calls = []
+        for fn in (traces.transition_system, construction.reduce_repetition):
+
+            def spy(*args, fn=fn):
+                calls.append(fn.__name__)
+                return fn(*args)
+
+            for name, module in list(sys.modules.items()):
+                if name.startswith("doubletrace") and getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, spy)
+        walk = self.strong_trace(800)
+        assert calls == []
+        assert validate_double_trace(walk).ok
+        assert is_strong(walk)
+
+    @pytest.mark.parametrize("m", [200, 800])
+    def test_checks_read_each_step_three_times(self, m):
+        walk = self.strong_trace(m)
+        steps = CountingSteps(walk.steps)
+        counted = ClosedWalk._of(walk.host, steps)
+        assert is_strong(counted)
+        assert steps.reads == 3 * len(steps)
+        for d in (1, 2):
+            steps.reads = 0
+            assert is_d_stable(counted, d) == is_d_stable(walk, d)
+            # it stops at the first vertex with a class of at most d edges
+            assert 0 < steps.reads <= 3 * len(steps)
