@@ -1,5 +1,6 @@
-"""Time the exhaustive search kernel on fixed workloads, and the folding
-of its enumeration output into symmetry classes.
+"""Time the exhaustive search kernel on fixed workloads, the folding of
+its enumeration output into symmetry classes, and the enumeration that
+emits one lex-leader per class instead.
 
 Run from the repository root:
 
@@ -11,7 +12,7 @@ import statistics
 import time
 
 from doubletrace import search_backend
-from doubletrace.enumeration import fold_classes
+from doubletrace.enumeration import _step_tables, fold_classes
 from doubletrace.graphs import Graph, automorphisms, complete_graph, cycle_graph
 from doubletrace.search_backend import (
     ANTI,
@@ -32,6 +33,11 @@ WHEEL = Graph(6, [(i, i % 5 + 1) for i in range(1, 6)] + [(0, i) for i in range(
 # K4 with a path of length two between two of its vertices
 WHEEL4 = Graph(5, [(i, (i + 1) % 4) for i in range(4)] + [(i, 4) for i in range(4)])
 K4_EAR = Graph(5, list(complete_graph(4).edges) + [(0, 4), (4, 1)])
+
+
+def tables(g):
+    return _step_tables(g, automorphisms(g))
+
 
 CASES = [
     ("K4 raw census", complete_graph(4), [FREE] * 6, {"mode": MODE_COUNT_RAW}),
@@ -83,6 +89,32 @@ CASES = [
         [FREE] * 8,
         {"mode": MODE_ENUM_FIXED, "d_max": 1},
     ),
+    # the same four enumerations with the automorphisms' step tables: the
+    # kernel emits one lex-leader per class, and no fold is needed
+    (
+        "W4 strong leaders",
+        WHEEL4,
+        [FREE] * 8,
+        {"mode": MODE_ENUM_FIXED, "require_strong": True, "tables": tables(WHEEL4)},
+    ),
+    (
+        "W4 1-stable leaders",
+        WHEEL4,
+        [FREE] * 8,
+        {"mode": MODE_ENUM_FIXED, "d_max": 1, "tables": tables(WHEEL4)},
+    ),
+    (
+        "K4+ear strong leaders",
+        K4_EAR,
+        [FREE] * 8,
+        {"mode": MODE_ENUM_FIXED, "require_strong": True, "tables": tables(K4_EAR)},
+    ),
+    (
+        "K4+ear 1-stable leaders",
+        K4_EAR,
+        [FREE] * 8,
+        {"mode": MODE_ENUM_FIXED, "d_max": 1, "tables": tables(K4_EAR)},
+    ),
 ]
 
 
@@ -121,11 +153,12 @@ def bench_fold(g, kw, repeat):
     return statistics.median(times), len(sequences), len(classes)
 
 
-def summarize(result, mode):
+def summarize(result, kw):
+    mode = kw["mode"]
     if mode == MODE_COUNT_RAW:
         return f"count={result}"
     if mode == MODE_ENUM_FIXED:
-        return f"sequences={len(result)}"
+        return f"{'leaves' if 'tables' in kw else 'sequences'}={len(result)}"
     if result is None:
         return "none"
     return f"steps={len(result)}"
@@ -139,7 +172,7 @@ def main():
     print(f"{'case':<28} {'median':>10}  result")
     for name, g, labels, kw in CASES:
         t, result = bench(g, labels, kw, args.repeat)
-        print(f"{name:<28} {t * 1e3:>8.1f}ms  {summarize(result, kw['mode'])}")
+        print(f"{name:<28} {t * 1e3:>8.1f}ms  {summarize(result, kw)}")
     for name, g, kw in FOLD_CASES:
         t, sequences, classes = bench_fold(g, kw, args.repeat)
         print(f"{name:<28} {t * 1e3:>8.1f}ms  sequences={sequences} classes={classes}")

@@ -24,6 +24,8 @@ from .construction import (
 )
 from .enumeration import (
     TraceQuery,
+    _enum_fixed,
+    _fixing,
     _fold,
     _step_tables,
     enumerate_classes,
@@ -351,12 +353,13 @@ def _cmd_construct(args) -> int:
 
 
 def _sweep_job(item):
-    g, anti, d = item
+    """One member per class of one restriction's traces."""
+    g, anti, d, tables = item
     if d is None:
         q = TraceQuery(g, require_strong=True, restriction=RestrictionSet.of(anti))
     else:
         q = TraceQuery(g, d=d, restriction=RestrictionSet.of(anti))
-    return fixed_start_sequences(q)
+    return [leader for leader, _ in _enum_fixed(q, None, tables)]
 
 
 def _restriction_size_sweep(
@@ -365,7 +368,8 @@ def _restriction_size_sweep(
     """Classes (canonical trace, size) over every restriction of size p,
     folded under the full symmetry group.  The group maps the traces of a
     restriction onto those of every restriction in its orbit, so one
-    restriction per orbit, the first in combination order, is searched."""
+    restriction per orbit, the first in combination order, is searched, and
+    its classes under the tables that fix it are the group's that meet it."""
     if not (0 <= p <= g.edge_count):
         raise InputError(f"--p must be between 0 and {g.edge_count}")
     tables = _step_tables(g, automorphisms(g))
@@ -376,7 +380,7 @@ def _restriction_size_sweep(
         anti = frozenset(combo)
         if anti not in seen:
             seen.update(frozenset(image[i] for i in anti) for image in edge_maps)
-            work.append((g, anti, d))
+            work.append((g, anti, d, _fixing(tables, anti)))
     if jobs > 1:
         # imported here: it costs every other query memory and start-up time
         import multiprocessing

@@ -89,8 +89,6 @@ def euler_tour(fragment: Walkable) -> ClosedWalk:
         if not isinstance(fragment, EdgeFragment) and not is_connected(host):
             raise PreconditionError("graph is disconnected")
         return ClosedWalk._of(host, ())
-    if len(components_with_parity(frag)) > 1:
-        raise PreconditionError("fragment is disconnected")
 
     arcs = [i for i in frag.edges if host.is_arc(i)]
     verts = sorted(frag.vertices)
@@ -143,9 +141,9 @@ def euler_tour(fragment: Walkable) -> ClosedWalk:
             circuit.append(path.pop())
     steps = tuple(s for _, s in reversed(circuit) if s is not None)
     if len(steps) != len(frag.edges):
-        raise InternalConsistencyError(
-            "tour construction missed edges on a connected balanced fragment"
-        )
+        # every degree is balanced here, so the tour closes on all the
+        # edges of its own component and misses only other components
+        raise PreconditionError("fragment is disconnected")
     return ClosedWalk._of(host, steps)
 
 

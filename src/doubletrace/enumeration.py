@@ -113,21 +113,29 @@ def count_raw_traces(query: TraceQuery, *, max_edges: int | None = None) -> int:
     )
 
 
-def fixed_start_sequences(
-    query: TraceQuery, *, max_edges: int | None = None
-) -> list[tuple[Step, ...]]:
-    """Step sequences of all satisfying traces whose first step is on edge 0:
-    every class appears, and the other raw sequences follow by symmetry."""
+def _enum_fixed(query: TraceQuery, max_edges: int | None, tables: list[list[int]] | None):
+    """The kernel's enumeration mode on the query: every fixed-start
+    sequence, or, given the step tables of a relabeling group that fixes the
+    restriction, one (least member, size) per class of an arc-free host."""
     _gate(query, ORACLE_ENUM_MAX_EDGES, max_edges)
     host = query.host
     if not is_connected(host):
         return []
     if host.edge_count == 0:
-        return [()]
+        return [()] if tables is None else [((), 1)]
     n, ea, eb, labels = lower_query(query)
     return search_backend.run(
-        n, ea, eb, labels, query.require_strong, query.d, search_backend.MODE_ENUM_FIXED
+        n, ea, eb, labels, query.require_strong, query.d, search_backend.MODE_ENUM_FIXED,
+        tables=tables,
     )
+
+
+def fixed_start_sequences(
+    query: TraceQuery, *, max_edges: int | None = None
+) -> list[tuple[Step, ...]]:
+    """Step sequences of all satisfying traces whose first step is on edge 0:
+    every class appears, and the other raw sequences follow by symmetry."""
+    return _enum_fixed(query, max_edges, None)
 
 
 def enumerate_fixed_start(
@@ -159,6 +167,11 @@ def _step_tables(host: Host, auts: tuple[tuple[int, ...], ...]) -> list[list[int
             table += (2 * j + f, 2 * j + 1 - f)
         tables.append(table)
     return tables
+
+
+def _fixing(tables: list[list[int]], anti: frozenset[int]) -> list[list[int]]:
+    """The step tables that map the restricted edge set onto itself."""
+    return [t for t in tables if {t[2 * i] >> 1 for i in anti} == anti]
 
 
 def _rotations_at(seq: Codes, starts: tuple[int, ...]) -> list[Codes]:
@@ -287,10 +300,9 @@ def enumerate_classes(
     host = query.host
     if not isinstance(host, Graph):
         raise InputError("class enumeration expects a simple undirected host")
-    sequences = fixed_start_sequences(query, max_edges=max_edges)
     tables = _step_tables(host, automorphisms(host))
     if query.restriction is not None:
-        # only relabelings that fix the restricted edge set are symmetries
-        anti = query.restriction.antiparallel_edges
-        tables = [t for t in tables if {t[2 * i] >> 1 for i in anti} == anti]
-    return [EquivalenceClass(canon, size) for canon, size in _fold(host, sequences, tables)]
+        tables = _fixing(tables, query.restriction.antiparallel_edges)
+    # the kernel emits only each class's least member, with its size
+    leaders = _enum_fixed(query, max_edges, tables)
+    return [EquivalenceClass(canon, size) for canon, size in sorted(leaders)]

@@ -28,6 +28,23 @@ even in number, so a loop whose second arrival is still pending leaves a
 second open end in its component, on an edge not yet used twice: "no open
 end" and "every edge used twice" pick the same components.
 
+Symmetry breaking (enumeration mode given ``tables``, the step-code maps
+``2e + f`` of a relabeling group; each also acts read backwards with codes
+flipped, ``c ^ 1``, which is reversal): a sequence is kept only if it is <=
+every rotation of every image, and emitted with its class size.  The root
+is code 0.  Each depth keeps the (table, start) pairs whose rotated image
+ties the prefix, and a new step costs each forward pair one comparison:
+smaller cuts the branch, larger drops the pair.  A forward pair starts
+where its table maps the new code to 0; a reversed pair starting there
+reads back to step 0, all known, and is compared at once.  At a leaf the
+ties are compared across the wrap-around: a smaller rotation rejects it,
+a full tie is one stabilizer element.  Sound, since relabelings and
+reversal keep every constraint, and an image that beats a prefix within
+the window the prefix fixes beats all its extensions; on arc-free hosts
+each class's least member starts with code 0 (reversal turns a code 1
+into 0), so it is emitted.  By orbit-stabilizer the class has
+2 * len(tables) * L / |stabilizer| members, L being the walk length.
+
 Edge labels: 0 free, 1 parallel (same direction twice), 2 antiparallel,
 3 arc (both traversals in the stored direction).
 """
@@ -59,12 +76,16 @@ def run(
     require_strong: bool = False,
     d_max: int = 0,
     mode: int = MODE_EXISTS,
+    *,
+    tables: list[list[int]] | None = None,
 ):
     """Search for double traces of the labeled host.
 
     Returns a step list or None (exists mode), a raw sequence count, or the
     list of all satisfying sequences whose first step is normalized to the
-    lowest edge (enumerate mode).
+    lowest edge (enumerate mode).  Given the step tables of a relabeling
+    group of an arc-free host, enumerate mode instead returns one
+    (lex-leader, class size) pair per symmetry class (module docstring).
     """
     m = len(ea)
     if m == 0:
@@ -153,10 +174,21 @@ def run(
     found_steps: list[tuple[tuple[int, int], ...]] = []
     count = 0
     start = first_slot = 0  # set per root below
+    lex = mode == MODE_ENUM_FIXED and tables is not None
+    if lex:
+        if any(lbl == ARC for lbl in labels):
+            raise ValueError("symmetry tables need an arc-free host")
+        codes = [0] * L  # the walk so far as step codes
+        group = 2 * len(tables) * L
+        back = [[c ^ 1 for c in t] for t in tables]
+        # per code, the tables that map it to code 0: where tied pairs start
+        fwd_at = [[t for t in tables if t[c] == 0] for c in range(L)]
+        rev_at = [[t for t in back if t[c] == 0] for c in range(L)]
 
-    def extend(pos: int, depth: int, prev_edge: int, prev_slot: int) -> bool:
+    def extend(pos: int, depth: int, prev_edge: int, prev_slot: int, ties, rties) -> bool:
         """Depth-first extension from pos, entered by prev_edge at
-        prev_slot; returns True to stop the whole search."""
+        prev_slot; returns True to stop the whole search.  ties and rties:
+        the forward and reversed (table, start) pairs still tied."""
         nonlocal count
         # every link made here joins the arrival slot's component, whose
         # root stays put while the moves below are tried and undone
@@ -175,6 +207,28 @@ def run(
                     return False
             if mode == MODE_COUNT_RAW:
                 count += 1
+                return False
+            if lex:
+                # the tied images, now across the wrap-around: a smaller one
+                # rejects the leaf, an equal one is a stabilizer element
+                stab = 1  # the identity
+                for t, j in ties:
+                    k = 0
+                    while k < j and t[codes[k]] == codes[L - j + k]:
+                        k += 1
+                    if k == j:
+                        stab += 1
+                    elif t[codes[k]] < codes[L - j + k]:
+                        return False
+                for t, q in rties:
+                    i = q + 1
+                    while i < L and t[codes[q - i + L]] == codes[i]:
+                        i += 1
+                    if i == L:
+                        stab += 1
+                    elif t[codes[q - i + L]] < codes[i]:
+                        return False
+                found_steps.append((tuple(steps), group // stab))
                 return False
             found_steps.append(tuple(steps))
             return mode == MODE_EXISTS
@@ -230,9 +284,34 @@ def run(
             rem[w] -= 1
             if ok and not last and (rem[w] == 0 or (pos == start and rem[start] == 0)):
                 ok = False  # stuck on arrival, or can never return to close the walk
+            nties, nrties = ties, rties
+            if ok and lex:
+                c = 2 * e + f
+                codes[depth] = c
+                nties = []
+                for t, j in ties:
+                    # not x and y: those hold the union-find roots to undo
+                    image, own = t[c], codes[depth - j]
+                    if image == own:
+                        nties.append((t, j))
+                    elif image < own:
+                        ok = False  # a smaller image: not a lex-leader
+                        break
+                if ok:
+                    nties += [(t, depth) for t in fwd_at[c]]
+                    for t in rev_at[c]:
+                        # read back from here to step 0
+                        i = 1
+                        while i <= depth and t[codes[depth - i]] == codes[i]:
+                            i += 1
+                        if i > depth:
+                            nrties = nrties + [(t, depth)]
+                        elif t[codes[depth - i]] < codes[i]:
+                            ok = False
+                            break
             if ok:
                 steps.append((e, f))
-                if extend(w, depth + 1, e, head):
+                if extend(w, depth + 1, e, head, nties, nrties):
                     return True
                 steps.pop()
 
@@ -258,6 +337,12 @@ def run(
         # rotation plus reversal lets every trace start with (edge 0, flag 0)
         roots = [(0, 0)]
 
+    ties = rties = None
+    if lex:
+        ident = list(range(L))
+        ties = [(t, 0) for t in fwd_at[0] if t != ident]
+        rties = [(t, 0) for t in rev_at[0]]
+
     for e0, f0 in roots:
         a, b = ea[e0], eb[e0]
         start = a if (a == b or f0 == 0) else b
@@ -276,7 +361,7 @@ def run(
         rem[start] -= 1
         rem[w0] -= 1
         steps.append((e0, f0))
-        stop = extend(w0, 1, e0, head)
+        stop = extend(w0, 1, e0, head, ties, rties)
         steps.pop()
         rem[start] += 1
         rem[w0] += 1

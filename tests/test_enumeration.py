@@ -14,6 +14,7 @@ from doubletrace.enumeration import (
     count_raw_traces,
     enumerate_classes,
     enumerate_fixed_start,
+    fixed_start_sequences,
     fold_classes,
     oracle_exists,
     oracle_find,
@@ -34,6 +35,7 @@ from doubletrace.traces import (
     DoubleTrace,
     RestrictionSet,
     check_restriction,
+    classify_directions,
     closed_walk_problems,
     is_d_stable,
     is_strong,
@@ -399,7 +401,8 @@ class TestFoldRejectsAmbiguousRelabelings:
 
 
 class TestOrbitWorkOncePerClass:
-    """Orbit work runs once per class; later members are one set lookup."""
+    """The kernel emits one member per class, so orbit work runs at most
+    once per class."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -413,20 +416,37 @@ class TestOrbitWorkOncePerClass:
         monkeypatch.setattr(enumeration, "_orbit_images", spy)
         return count
 
-    def test_enumerate_classes(self, calls):
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        count = []
+        run = search_backend.run
+
+        def spy(*args, **kwargs):
+            out = run(*args, **kwargs)
+            count.append(len(out))
+            return out
+
+        monkeypatch.setattr(search_backend, "run", spy)
+        return count
+
+    def test_enumerate_classes(self, calls, emitted):
         q = TraceQuery(K4, require_strong=True)
         classes = enumerate_classes(q)
+        assert emitted == [len(classes)]
+        assert not calls
         assert len(enumerate_fixed_start(q)) > 10 * len(classes)
-        assert len(calls) == len(classes)
 
-    def test_restriction_size_sweep(self, calls):
+    def test_restriction_size_sweep(self, calls, emitted):
         prism = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                           (0, 3), (1, 4), (2, 5)])
         classes = cli._restriction_size_sweep(prism, 3, None, 1)
-        traced = sum(len(cli._sweep_job((prism, frozenset(c), None)))
-                     for c in itertools.combinations(range(9), 3))
-        assert traced > 10 * len(classes)
+        assert sum(emitted) == len(classes)
         assert len(calls) == len(classes)
+        emitted.clear()
+        every = sum(len(fixed_start_sequences(TraceQuery(
+            prism, require_strong=True, restriction=RestrictionSet.of(c))))
+            for c in itertools.combinations(range(9), 3))
+        assert every > 10 * len(classes)
 
 
 def test_restriction_size_sweep_searches_one_set_per_orbit(monkeypatch):
@@ -441,7 +461,11 @@ def test_restriction_size_sweep_searches_one_set_per_orbit(monkeypatch):
         searched.clear()
         classes = cli._restriction_size_sweep(prism, p, None, 1)
         sets = [frozenset(c) for c in itertools.combinations(range(9), p)]
-        every = [job((prism, anti, None)) for anti in sets]
+        every = [
+            fixed_start_sequences(TraceQuery(
+                prism, require_strong=True, restriction=RestrictionSet.of(anti)))
+            for anti in sets
+        ]
         assert classes == fold_classes(prism, itertools.chain.from_iterable(every))
         orbits = {
             frozenset(frozenset(edge_of[frozenset(perm[v] for v in prism.edges[i])]
@@ -450,6 +474,94 @@ def test_restriction_size_sweep_searches_one_set_per_orbit(monkeypatch):
         }
         assert len(searched) == len(orbits) < len(sets)
         assert {next(o for o in orbits if anti in o) for anti in searched} == orbits
+
+
+def closed_double_walks(host):
+    """Every closed walk from step (0, 0) that uses each edge exactly twice,
+    listed with no pruning at all."""
+    m = host.edge_count
+    use = [0] * m
+    walk = [(0, 0)]
+    use[0] = 1
+    start, first = host.endpoints(0)
+    out = []
+
+    def extend(v):
+        if len(walk) == 2 * m:
+            if v == start:
+                out.append(DoubleTrace(host, tuple(walk)))
+            return
+        for e in range(m):
+            a, b = host.endpoints(e)
+            if use[e] < 2 and v in (a, b):
+                use[e] += 1
+                walk.append((e, 0 if v == a else 1))
+                extend(b if v == a else a)
+                walk.pop()
+                use[e] -= 1
+
+    extend(first)
+    return out
+
+
+def antiparallel_set(walk):
+    return frozenset(e for e, label in enumerate(classify_directions(walk))
+                     if label == "antiparallel")
+
+
+class TestBruteForceReferee:
+    """Class listings and restriction-size sweeps against every closed walk,
+    filtered by the validators and folded as whole orbit sets."""
+
+    def hosts(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            order = list(range(n))
+            rng.shuffle(order)
+            edges = {frozenset((order[i], order[rng.randrange(i)])) for i in range(1, n)}
+            pairs = [frozenset((u, v)) for u in range(n) for v in range(u + 1, n)]
+            rng.shuffle(pairs)
+            # mostly graphs with a cycle, some trees
+            m = n - 1 if rng.random() < 0.2 else rng.randint(min(n, len(pairs)), min(6, len(pairs)))
+            for pair in pairs:
+                if len(edges) < m:
+                    edges.add(pair)
+            listed = [tuple(sorted(e)) for e in edges]
+            rng.shuffle(listed)
+            yield rng, Graph(n, [(b, a) if rng.random() < 0.5 else (a, b) for a, b in listed])
+
+    def test_classes_and_sweeps(self):
+        queries = 0
+        for rng, g in self.hosts():
+            walks = closed_double_walks(g)
+            auts = automorphisms(g)
+            strong = [w for w in walks if is_strong(w)]
+            listings = [
+                (TraceQuery(g, require_strong=True), strong),
+                (TraceQuery(g, d=1), [w for w in walks if is_d_stable(w, 1)]),
+                (TraceQuery(g, d=2), [w for w in walks if is_d_stable(w, 2)]),
+            ]
+            # restrictions drawn from walks that satisfy them, so most are met
+            for pool, require_strong in ((strong, True), (walks, False)):
+                anti = antiparallel_set(rng.choice(pool or walks))
+                r = RestrictionSet.of(anti)
+                met = [w for w in pool if check_restriction(w, r)]
+                listings.append((TraceQuery(g, require_strong=require_strong, restriction=r), met))
+            for q, met in listings:
+                group = auts
+                if q.restriction is not None:
+                    group = reference_preserving(g, auts, q.restriction.antiparallel_edges)
+                got = [(c.canonical, c.size) for c in enumerate_classes(q)]
+                assert got == reference_classes(g, met, group), (g.edges, q)
+                queries += 1
+            for p in (1, 2):
+                if p <= g.edge_count:
+                    met = [w for w in strong if len(antiparallel_set(w)) == p]
+                    got = cli._restriction_size_sweep(g, p, None, 1)
+                    assert got == reference_classes(g, met, auts), (g.edges, p)
+                    queries += 1
+        assert queries >= 250
 
 
 class TestCapacity:
