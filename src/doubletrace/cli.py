@@ -410,6 +410,8 @@ def _cmd_enumerate(args) -> int:
         if args.classes:
             raise InputError("--classes needs a simple graph")
         query = _query_for(host, variant, args.d, file_r)
+        # every member, not only the least: on hosts with loops the kernel
+        # misses sequences, and the fold finds a class from any member
         classes = fold_classes(host, fixed_start_sequences(query))
     reps = [rep for rep, _ in classes]
     sizes = [size for _, size in classes]

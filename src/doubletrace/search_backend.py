@@ -83,9 +83,8 @@ def run(
 
     Returns a step list or None (exists mode), a raw sequence count, or the
     list of all satisfying sequences whose first step is normalized to the
-    lowest edge (enumerate mode).  Given the step tables of a relabeling
-    group of an arc-free host, enumerate mode instead returns one
-    (lex-leader, class size) pair per symmetry class (module docstring).
+    lowest edge (enumerate mode), or given ``tables`` one (lex-leader, class
+    size) pair per symmetry class of an arc-free host (module docstring).
     """
     m = len(ea)
     if m == 0:
