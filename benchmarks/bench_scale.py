@@ -31,9 +31,9 @@ import statistics
 import sys
 import time
 
-from doubletrace import cli
-from doubletrace.construction import _t_join_certificate
-from doubletrace.graphs import Graph
+from doubletrace.construction import _t_join_certificate, construct
+from doubletrace.feasibility import decide
+from doubletrace.graphs import Graph, TraceQuery
 from doubletrace.traces import check_restriction, is_d_stable, is_strong, validate_double_trace
 
 
@@ -77,16 +77,17 @@ POINTS = [
 def run_point(g: Graph, variant: str, repeat: int) -> dict:
     d = 1 if variant == "dstable" else None
     r = _t_join_certificate(g)[0] if variant == "double" else None
-    decide, build = [], []
+    decide_s, build_s = [], []
     for _ in range(repeat):
         start = time.perf_counter()
-        answer = cli.feasibility_answer(g, variant, d, r)
-        decide.append(time.perf_counter() - start)
+        query = TraceQuery.for_variant(g, variant, d, r)
+        answer = decide(query)
+        decide_s.append(time.perf_counter() - start)
         if not answer:
             raise SystemExit(f"{variant} refused on a {g.edge_count}-edge draw: {answer.violated}")
         start = time.perf_counter()
-        walk = cli.build_trace(g, variant, d, r, answer)
-        build.append(time.perf_counter() - start)
+        walk = construct(query, answer)
+        build_s.append(time.perf_counter() - start)
     ok = validate_double_trace(walk).ok
     if variant == "double":
         ok = ok and check_restriction(walk, r)
@@ -98,8 +99,8 @@ def run_point(g: Graph, variant: str, repeat: int) -> dict:
         "edges": g.edge_count,
         "vertices": g.vertex_count,
         "steps": len(walk.steps),
-        "decide_s": statistics.median(decide),
-        "build_s": statistics.median(build),
+        "decide_s": statistics.median(decide_s),
+        "build_s": statistics.median(build_s),
     }
 
 

@@ -17,44 +17,29 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .construction import (
-    _free_direction_trace,
-    _restricted_double_trace,
-    _restricted_trace,
-)
+from .construction import construct
 from .enumeration import (
-    TraceQuery,
     _enum_fixed,
     _fixing,
     _fold,
     _step_tables,
     enumerate_classes,
-    fixed_start_sequences,
-    fold_classes,
-    oracle_find,
 )
 from .errors import (
     CapacityError,
     DoubleTraceError,
     InputError,
-    InternalConsistencyError,
     ParseError,
     PreconditionError,
 )
-from .feasibility import (
-    FeasibilityAnswer,
-    SpanningTreeCertificate,
-    _restricted_verdict,
-    has_d_stable_trace,
-    has_E_restricted_double_trace,
-    has_strong_trace,
-)
+from .feasibility import FeasibilityAnswer, SpanningTreeCertificate, decide
 from .graphs import (
+    VARIANTS,
     Graph,
     Host,
     MixedGraph,
-    Multigraph,
     RestrictionSet,
+    TraceQuery,
     automorphisms,
     parse_graph,
     render_graph,
@@ -67,85 +52,6 @@ from .traces import (
     classify_directions,
     validate_double_trace,
 )
-
-VARIANTS = ("strong", "dstable", "parallel", "antiparallel", "restricted", "double")
-
-
-# ---------------------------------------------------------------------------
-# Variant dispatch
-# ---------------------------------------------------------------------------
-
-
-def _effective_restriction(
-    variant: str, host: Host, file_restriction: Optional[RestrictionSet]
-) -> Optional[RestrictionSet]:
-    if variant == "parallel":
-        return RestrictionSet.of(())
-    if variant == "antiparallel":
-        return RestrictionSet.of(range(len(host.edges)))
-    if variant in ("restricted", "double"):
-        return file_restriction if file_restriction is not None else RestrictionSet.of(())
-    return None  # strong/dstable leave directions free
-
-
-def _reject_d(variant: str, d: Optional[int]) -> None:
-    if d is not None and variant in ("strong", "double"):
-        raise InputError(f"--d does not apply to the {variant} variant")
-
-
-def feasibility_answer(
-    host: Host,
-    variant: str,
-    d: Optional[int],
-    file_restriction: Optional[RestrictionSet],
-) -> FeasibilityAnswer:
-    """Route one query to the decision procedure that answers it:
-    ``parallel``, ``antiparallel`` and ``restricted`` are one restricted
-    decision, with E empty, E = all edges and E from the file."""
-    if variant not in VARIANTS:
-        raise InputError(f"unknown variant {variant!r}")
-    _reject_d(variant, d)
-    if isinstance(host, MixedGraph) and variant != "restricted":
-        raise InputError(
-            "mixed graphs support only the restricted variant; arcs fix "
-            "their own directions"
-        )
-    if isinstance(host, Multigraph) and variant == "restricted":
-        raise InputError("the restricted variant needs a simple graph or a mixed graph")
-    r = _effective_restriction(variant, host, file_restriction)
-    if variant == "strong":
-        return has_strong_trace(host)
-    if variant == "dstable":
-        return has_d_stable_trace(host, 1 if d is None else d)
-    if variant == "double":
-        return has_E_restricted_double_trace(host, r)
-    return _restricted_verdict(host, r, d)
-
-
-def build_trace(
-    host: Host,
-    variant: str,
-    d: Optional[int],
-    file_restriction: Optional[RestrictionSet],
-    answer: FeasibilityAnswer,
-) -> DoubleTrace:
-    """Construct a trace behind ``answer``, the positive verdict that
-    ``feasibility_answer`` gave for the same query.  Parallel, antiparallel
-    and restricted builds use its certificate and decide nothing again."""
-    r = _effective_restriction(variant, host, file_restriction)
-    if variant == "double":
-        return _restricted_double_trace(host, r)
-    if r is not None:
-        return _restricted_trace(host, r, d, answer)
-    if isinstance(host, Graph):
-        return _free_direction_trace(host)
-    # multigraph strong and dstable: the bounded oracle
-    trace = oracle_find(_query_for(host, variant, d, file_restriction))
-    if trace is None:
-        raise InternalConsistencyError(
-            "verdict was positive but the exhaustive search found no trace"
-        )
-    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -322,29 +228,34 @@ def _resolve_variant(args, host: Host, file_restriction) -> str:
     return "strong"
 
 
-def _cmd_check(args) -> int:
+def _query(args) -> tuple[TraceQuery, str]:
     host, file_r = _load_document(args.file)
     variant = _resolve_variant(args, host, file_r)
+    return TraceQuery.for_variant(host, variant, args.d, file_r), variant
+
+
+def _decided(query: TraceQuery) -> FeasibilityAnswer:
+    """The verdict, with a disconnected host read as a negative one."""
     try:
-        answer = feasibility_answer(host, variant, args.d, file_r)
+        return decide(query)
     except PreconditionError as exc:
-        answer = FeasibilityAnswer(False, violated=(str(exc),))
-    r = _effective_restriction(variant, host, file_r)
-    _emit(_answer_json(answer, variant, args.d, r))
+        return FeasibilityAnswer(False, violated=(str(exc),))
+
+
+def _cmd_check(args) -> int:
+    query, variant = _query(args)
+    answer = _decided(query)
+    _emit(_answer_json(answer, variant, args.d, query.restriction))
     return 0 if answer.verdict else 1
 
 
 def _cmd_construct(args) -> int:
-    host, file_r = _load_document(args.file)
-    variant = _resolve_variant(args, host, file_r)
-    try:
-        answer = feasibility_answer(host, variant, args.d, file_r)
-    except PreconditionError as exc:
-        answer = FeasibilityAnswer(False, violated=(str(exc),))
+    query, variant = _query(args)
+    answer = _decided(query)
     if not answer.verdict:
         _emit({"outcome": "infeasible", "variant": variant, "violated": list(answer.violated)})
         return 1
-    walk = build_trace(host, variant, args.d, file_r, answer)
+    walk = construct(query, answer)
     if args.format == "dot":
         sys.stdout.write(_trace_dot(walk))
     else:
@@ -400,19 +311,14 @@ def _cmd_enumerate(args) -> int:
             raise InputError("--p needs a simple graph")
         if variant not in ("strong", "dstable", "restricted"):
             raise InputError(f"--p fixes the direction sets; drop --variant {variant}")
-        _reject_d(variant, args.d)
-        d = 1 if variant == "dstable" and args.d is None else args.d
+        # the query checks --d and gives dstable its default order
+        d = TraceQuery.for_variant(host, variant, args.d).d or None
         classes = _restriction_size_sweep(host, args.p, d, args.jobs)
-    elif isinstance(host, Graph):
-        query = _query_for(host, variant, args.d, file_r)
-        classes = [(c.canonical, c.size) for c in enumerate_classes(query)]
     else:
-        if args.classes:
+        if args.classes and not isinstance(host, Graph):
             raise InputError("--classes needs a simple graph")
-        query = _query_for(host, variant, args.d, file_r)
-        # every member, not only the least: on hosts with loops the kernel
-        # misses sequences, and the fold finds a class from any member
-        classes = fold_classes(host, fixed_start_sequences(query))
+        query = TraceQuery.for_variant(host, variant, args.d, file_r)
+        classes = [(c.canonical, c.size) for c in enumerate_classes(query)]
     reps = [rep for rep, _ in classes]
     sizes = [size for _, size in classes]
     doc = {
@@ -433,27 +339,6 @@ def _cmd_enumerate(args) -> int:
         doc["traces"] = [_steps_json(records, rep) for rep in reps]
     _emit(doc)
     return 0 if reps else 1
-
-
-def _query_for(
-    host: Host, variant: str, d: Optional[int], file_r: Optional[RestrictionSet]
-) -> TraceQuery:
-    _reject_d(variant, d)
-    if isinstance(host, MixedGraph) and variant != "restricted":
-        raise InputError(
-            "mixed graphs support only the restricted variant; arcs fix "
-            "their own directions"
-        )
-    r = _effective_restriction(variant, host, file_r)
-    if variant == "strong":
-        return TraceQuery(host, require_strong=True)
-    if variant == "dstable":
-        return TraceQuery(host, d=1 if d is None else d)
-    if variant == "double":
-        return TraceQuery(host, restriction=r)
-    if d is None:
-        return TraceQuery(host, require_strong=True, restriction=r)
-    return TraceQuery(host, d=d, restriction=r)
 
 
 def _read_trace_steps(doc, host: Host) -> tuple[tuple[int, int], ...]:

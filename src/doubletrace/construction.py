@@ -10,7 +10,8 @@ after splitting that vertex into two halves of at least d + 1 edges each.
 Strong traces with free directions run it on a T-join with a tree written
 down, not searched.  None of them searches for a trace: they are
 polynomial apart from the admissible-tree search that the verdict itself
-runs.
+runs.  ``construct`` picks the builder for a query; only its route for
+strong and d-stable traces of multigraphs searches, with the bounded oracle.
 Every operation is a deterministic function of its inputs, so repeated runs
 reproduce the same step sequences byte for byte.
 """
@@ -27,6 +28,7 @@ from .errors import (
     PreconditionError,
     SurgeryInapplicableError,
 )
+from .enumeration import oracle_find
 from .feasibility import (
     FeasibilityAnswer,
     RestrictedAnalysis,
@@ -34,10 +36,6 @@ from .feasibility import (
     _balanced_orientation,
     _restricted_analysis,
     find_admissible_tree,
-    has_E_restricted_d_stable_trace,
-    has_E_restricted_d_stable_trace_mixed,
-    has_E_restricted_strong_trace,
-    has_E_restricted_strong_trace_mixed,
 )
 from .graphs import (
     ComponentReport,
@@ -45,8 +43,8 @@ from .graphs import (
     EdgeFragment,
     Graph,
     Host,
-    MixedGraph,
     SimplifiedGraph,
+    TraceQuery,
     components_with_parity,
     induced_edge_subgraph,
     is_connected,
@@ -1120,8 +1118,9 @@ def _restricted_trace(
     answer: FeasibilityAnswer,
 ) -> DoubleTrace:
     """The restricted strong (``d`` None) or d-stable trace behind
-    ``answer``, the verdict on the same query; its quotient analysis is
-    used as it is, so nothing is decided, contracted or simplified again.
+    ``answer``, the positive verdict on the same query; its quotient
+    analysis is used as it is, so nothing is decided, contracted or
+    simplified again.
 
     An empty restriction yields the all-parallel construction.  Otherwise
     the verdict's tree drives the contraction pipeline, which finishes with
@@ -1134,10 +1133,6 @@ def _restricted_trace(
     d + 1 edges each (the split lemma above): the vertex keeps its two
     classes, every other vertex ends with one.
     """
-    if not answer:
-        raise PreconditionError(
-            "; ".join(answer.violated) or "no such trace exists"
-        )
     if not r.antiparallel_edges:
         return parallel_strong_trace(host)
     analysis = answer.analysis
@@ -1235,25 +1230,28 @@ def _restricted_double_trace(host: Host, r: RestrictionSet) -> DoubleTrace:
     return DoubleTrace._of(host, tuple(merged))
 
 
-def build_E_restricted_strong_trace(g: Graph, r: RestrictionSet) -> DoubleTrace:
-    """Strong trace traversing the restricted edges once each way and all
-    others twice the same way."""
-    return _restricted_trace(g, r, None, has_E_restricted_strong_trace(g, r))
+def construct(query: TraceQuery, answer: FeasibilityAnswer) -> DoubleTrace:
+    """A trace behind ``answer``, the positive verdict ``decide(query)``
+    gave.  Restricted builds use its certificate and decide nothing again.
 
-
-def build_E_restricted_d_stable_trace(
-    g: Graph, r: RestrictionSet, d: int
-) -> DoubleTrace:
-    """Restricted trace avoiding repetitions of order up to ``d``."""
-    return _restricted_trace(g, r, d, has_E_restricted_d_stable_trace(g, r, d))
-
-
-def build_mixed_trace(
-    b: MixedGraph, r: RestrictionSet, d: Optional[int] = None
-) -> DoubleTrace:
-    """Restricted strong (or d-stable) trace of a mixed graph; every arc is
-    traversed twice tail to head, on direction-respecting tours of the
-    components formed by the unrestricted edges and all arcs."""
-    if d is None:
-        return _restricted_trace(b, r, d, has_E_restricted_strong_trace_mixed(b, r))
-    return _restricted_trace(b, r, d, has_E_restricted_d_stable_trace_mixed(b, r, d))
+    The double question (neither strong nor d-stable, with E) walks E out
+    and back and the rest on doubled Euler tours.  The restricted questions
+    run the contraction pipeline on the verdict's tree.  Free directions on
+    a simple graph take the T-join's certificate, which no tree search
+    finds; on a multigraph the bounded oracle searches.
+    """
+    if not answer:
+        raise PreconditionError("; ".join(answer.violated) or "no such trace exists")
+    host, r, d = query.host, query.restriction, query.d
+    if r is not None and not (query.require_strong or d):
+        return _restricted_double_trace(host, r)
+    if r is not None:
+        return _restricted_trace(host, r, d or None, answer)
+    if isinstance(host, Graph):
+        return _free_direction_trace(host)
+    trace = oracle_find(query)
+    if trace is None:
+        raise InternalConsistencyError(
+            "verdict was positive but the exhaustive search found no trace"
+        )
+    return trace

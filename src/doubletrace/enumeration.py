@@ -14,39 +14,13 @@ from typing import Iterable, Sequence
 
 from . import search_backend
 from .errors import CapacityError, InputError
-from .graphs import Graph, Host, automorphisms, is_connected
-from .traces import ClosedWalk, DoubleTrace, RestrictionSet, Step
+from .graphs import Graph, Host, TraceQuery, automorphisms, is_connected
+from .traces import ClosedWalk, DoubleTrace, Step
 
 ORACLE_EXISTS_MAX_EDGES = 10
 ORACLE_ENUM_MAX_EDGES = 9
 
 Codes = bytes | tuple[int, ...]  # steps coded 2e + f; bytes while codes fit
-
-
-@dataclass(frozen=True, eq=False)
-class TraceQuery:
-    """What to search for: variant flags plus an optional direction restriction.
-
-    ``restriction`` lists the edges that must be traversed once in each
-    direction; all other undirected edges must then be traversed twice in
-    the same direction.  With no restriction every edge is free.  Arcs are
-    always traversed twice in their stored direction.
-    """
-
-    host: Host
-    require_strong: bool = False
-    d: int = 0
-    restriction: RestrictionSet | None = None
-
-    def __post_init__(self):
-        if self.d < 0:
-            raise InputError("repetition order bound must be non-negative")
-        if self.restriction is not None:
-            for i in self.restriction.antiparallel_edges:
-                if not (0 <= i < self.host.edge_count):
-                    raise InputError(f"restriction edge {i} out of range")
-                if self.host.is_arc(i):
-                    raise InputError(f"restriction edge {i} is an arc")
 
 
 def lower_query(query: TraceQuery) -> tuple[int, list[int], list[int], list[int]]:
@@ -293,13 +267,16 @@ def enumerate_classes(
 ) -> list[EquivalenceClass]:
     """Group all satisfying traces by rotation, reversal and relabeling.
 
-    Simple hosts only: the relabeling group is the automorphism group of
-    the underlying graph.  Class sizes count raw sequences, so they sum to
-    the raw count.
+    On a simple host the relabeling group is its automorphism group; on a
+    multigraph or a mixed host it is the identity.  Class sizes count raw
+    sequences, so they sum to the raw count.
     """
     host = query.host
     if not isinstance(host, Graph):
-        raise InputError("class enumeration expects a simple undirected host")
+        # every member, not only the least: on hosts with loops the kernel
+        # misses sequences, and the fold finds a class from any member
+        sequences = fixed_start_sequences(query, max_edges=max_edges)
+        return [EquivalenceClass(canon, size) for canon, size in fold_classes(host, sequences)]
     tables = _step_tables(host, automorphisms(host))
     if query.restriction is not None:
         tables = _fixing(tables, query.restriction.antiparallel_edges)

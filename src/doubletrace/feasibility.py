@@ -1,10 +1,10 @@
 """Certified decision procedures for double-trace existence.
 
-Each ``has_*`` operation decides one variant and returns a FeasibilityAnswer
-whose certificate can be revalidated independently of the search that found
-it.  The admissible-spanning-tree search is exact and complete; the
-deciders run it only below hard size thresholds on the quotient, and above
-them raise CapacityError rather than guessing.
+``decide`` answers every ``TraceQuery`` with a FeasibilityAnswer whose
+certificate can be revalidated independently of the search that found it.
+The admissible-spanning-tree search is exact and complete; ``decide`` runs
+it only below hard size thresholds on the quotient, and above them raises
+CapacityError rather than guessing.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .graphs import (
     Multigraph,
     RestrictionSet,
     SimplifiedGraph,
+    TraceQuery,
     WitnessSpec,
     _as_predicate,
     components_with_parity,
@@ -138,7 +139,7 @@ def find_admissible_tree(
     Trees are generated in lexicographic edge-index order, so the result is
     deterministic, and with ``accept`` the first certificate offered to it
     is the one returned without it.  The search is exponential in the
-    co-tree rank; the deciders gate it with ``_gate_quotient``.
+    co-tree rank; ``decide`` gates it with ``_gate_quotient``.
 
     Edges are decided in index order, tree edge first.  A second union-find
     tracks the co-tree decided so far; each of its roots stores the
@@ -256,17 +257,6 @@ def _odd_rank_refutation(
     )
 
 
-# ---------------------------------------------------------------------------
-# Unrestricted and single-direction variants
-# ---------------------------------------------------------------------------
-
-
-def has_strong_trace(g: Graph) -> FeasibilityAnswer:
-    """Every connected graph admits a strong trace."""
-    _reject_disconnected(g)
-    return FeasibilityAnswer(True)
-
-
 def _degree_gate(host: Host, d: int) -> Optional[str]:
     """Shared minimum-degree condition of the d-stable variants.
 
@@ -285,42 +275,8 @@ def _degree_gate(host: Host, d: int) -> Optional[str]:
     return None
 
 
-def has_d_stable_trace(g: Graph, d: int) -> FeasibilityAnswer:
-    """d-stable traces exist exactly when the minimum degree exceeds d."""
-    _reject_disconnected(g)
-    _check_order(d)
-    bad = _degree_gate(g, d)
-    if bad is None:
-        return FeasibilityAnswer(True)
-    return FeasibilityAnswer(False, violated=(bad,))
-
-
-def has_antiparallel_strong_trace(g: Graph) -> FeasibilityAnswer:
-    """Restricted with every edge in E: needs a spanning tree whose
-    co-tree components all have an even number of edges."""
-    return _restricted_verdict(g, RestrictionSet.of(range(g.edge_count)), None)
-
-
-def has_antiparallel_d_stable_trace(g: Graph, d: int) -> FeasibilityAnswer:
-    return _restricted_verdict(g, RestrictionSet.of(range(g.edge_count)), d)
-
-
-def has_parallel_strong_trace(g: Graph) -> FeasibilityAnswer:
-    """Restricted with E empty: exists exactly on Eulerian graphs."""
-    return _restricted_verdict(g, RestrictionSet.of(()), None)
-
-
-def has_parallel_d_stable_trace(g: Graph, d: int) -> FeasibilityAnswer:
-    return _restricted_verdict(g, RestrictionSet.of(()), d)
-
-
-def _check_order(d: int) -> None:
-    if d < 1:
-        raise InputError("repetition order bound must be at least 1")
-
-
 # ---------------------------------------------------------------------------
-# E-restricted variants
+# E-restricted questions
 # ---------------------------------------------------------------------------
 
 
@@ -338,16 +294,6 @@ def _odd_outside(frag: EdgeFragment) -> Optional[str]:
     if bad:
         return f"vertices {bad} have odd degree outside the restriction"
     return None
-
-
-def has_E_restricted_double_trace(g: Graph, r: RestrictionSet) -> FeasibilityAnswer:
-    """Exists iff removing the restricted edges leaves an even graph."""
-    _reject_disconnected(g)
-    frag = induced_edge_subgraph(g, _unrestricted_edges(g, r))
-    bad = _odd_outside(frag)
-    if bad is None:
-        return FeasibilityAnswer(True, even_fragment=frag)
-    return FeasibilityAnswer(False, violated=(bad,))
 
 
 @dataclass(frozen=True)
@@ -424,10 +370,8 @@ def _restricted_verdict(
     nothing.  An undirected host's positive verdict also carries its even
     fragment.
     """
-    _reject_disconnected(host)
     bar = None
     if d is not None:
-        _check_order(d)
         bad = _degree_gate(host, d)
         if bad is not None:
             return FeasibilityAnswer(False, violated=(bad,))
@@ -461,32 +405,65 @@ def _restricted_verdict(
     return FeasibilityAnswer(False, violated=(reason,))
 
 
-def has_E_restricted_strong_trace(g: Graph, r: RestrictionSet) -> FeasibilityAnswer:
-    """Both conditions: the unrestricted fragment is even at every vertex,
-    and the quotient by it has an admissible spanning tree (witnesses are
-    the contracted vertices, tracked through simplification)."""
-    return _restricted_verdict(g, r, None)
+def decide(query: TraceQuery) -> FeasibilityAnswer:
+    """Whether ``query.host`` has the trace ``query`` asks for, with the
+    evidence.  The shape ``(require_strong, d, restriction)`` names the
+    question and its characterization:
 
+    * ``(True, 0, None)``, strong: every connected host has one.
+    * ``(False, d >= 1, None)``, d-stable: exactly when every vertex with an
+      edge has more than d distinct incident edges.
+    * ``(False, 0, E)``, double: E antiparallel and the rest parallel, with
+      repetitions allowed; exactly when every degree outside E is even.
+    * ``(True, 0, E)`` and ``(False, d >= 1, E)``, E-restricted strong and
+      d-stable: the fragment outside E can be walked twice in one direction,
+      and the quotient by it has a spanning tree whose odd co-tree
+      components all hold a contracted vertex, or, for d-stable traces, a
+      vertex of quotient degree at least 2d + 2.  With E empty this is the
+      parallel question, which holds exactly on Eulerian hosts; with E =
+      every edge it is the antiparallel one, which for strong traces needs
+      a spanning tree whose co-tree components all have an even number of
+      edges.  On a mixed host each component of the fragment, arcs
+      included, needs a direction-respecting Euler tour.
 
-def has_E_restricted_d_stable_trace(
-    g: Graph, r: RestrictionSet, d: int
-) -> FeasibilityAnswer:
-    return _restricted_verdict(g, r, d)
+    Host kinds, by shape; a refused cell raises InputError:
 
+    * simple graph: every shape;
+    * multigraph: strong, d-stable and double; restricted only with E empty
+      or E = every edge, the parallel and antiparallel questions, since a
+      loop outside another E can break the build;
+    * mixed graph: restricted only, as arcs fix their own directions.
 
-def has_E_restricted_strong_trace_mixed(
-    b: MixedGraph, r: RestrictionSet
-) -> FeasibilityAnswer:
-    """Mixed analogue: every component of the fragment made of unrestricted
-    edges plus all arcs must admit a direction-respecting Euler tour, and
-    the quotient by that fragment needs an admissible tree."""
-    return _restricted_verdict(b, r, None)
-
-
-def has_E_restricted_d_stable_trace_mixed(
-    b: MixedGraph, r: RestrictionSet, d: int
-) -> FeasibilityAnswer:
-    return _restricted_verdict(b, r, d)
+    A query both strong and d-stable, or neither and without E, asks none
+    of these and raises InputError.  A disconnected host raises
+    PreconditionError; connectivity is checked once, here.
+    """
+    host, r, d = query.host, query.restriction, query.d
+    if query.require_strong and d:
+        raise InputError("a query asks a strong or a d-stable trace, not both")
+    if not query.require_strong and not d and r is None:
+        raise InputError("a query without a restriction asks a strong or a d-stable trace")
+    restricted = r is not None and (query.require_strong or d > 0)
+    if isinstance(host, MixedGraph) and not restricted:
+        raise InputError("a mixed host answers only restricted queries; arcs fix their own directions")
+    if (
+        isinstance(host, Multigraph)
+        and restricted
+        and r.antiparallel_edges not in (frozenset(), frozenset(range(host.edge_count)))
+    ):
+        raise InputError("the restricted variant needs a simple graph or a mixed graph")
+    _reject_disconnected(host)
+    if restricted:
+        return _restricted_verdict(host, r, d or None)
+    frag = bad = None
+    if d:
+        bad = _degree_gate(host, d)
+    elif r is not None:
+        frag = induced_edge_subgraph(host, _unrestricted_edges(host, r))
+        bad = _odd_outside(frag)
+    if bad is not None:
+        return FeasibilityAnswer(False, violated=(bad,))
+    return FeasibilityAnswer(True, even_fragment=frag)
 
 
 # ---------------------------------------------------------------------------

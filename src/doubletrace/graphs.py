@@ -12,8 +12,8 @@ these positional indices.  Its three kinds differ only in what they accept:
 The traversable objects are indexed together: undirected edges first (in
 file/list order), then arcs.
 
-The module also holds :class:`RestrictionSet` and the graph-file format
-(``parse_graph`` and ``render_graph``).
+The module also holds :class:`RestrictionSet`, :class:`TraceQuery` and the
+graph-file format (``parse_graph`` and ``render_graph``).
 """
 
 from __future__ import annotations
@@ -192,6 +192,76 @@ class RestrictionSet:
     def complement(self, host: Host) -> frozenset[int]:
         """Indices of the undirected edges required to be parallel."""
         return frozenset(range(len(host.edges))) - self.antiparallel_edges
+
+
+VARIANTS = ("strong", "dstable", "parallel", "antiparallel", "restricted", "double")
+
+
+@dataclass(frozen=True, eq=False)
+class TraceQuery:
+    """What to search for: variant flags plus an optional direction restriction.
+
+    ``restriction`` lists the edges that must be traversed once in each
+    direction; all other undirected edges must then be traversed twice in
+    the same direction.  With no restriction every edge is free.  Arcs are
+    always traversed twice in their stored direction.  ``d = 0`` bounds no
+    repetition order.
+    """
+
+    host: Host
+    require_strong: bool = False
+    d: int = 0
+    restriction: RestrictionSet | None = None
+
+    def __post_init__(self):
+        if self.d < 0:
+            raise InputError("repetition order bound must be non-negative")
+        if self.restriction is not None:
+            for i in self.restriction.antiparallel_edges:
+                if not (0 <= i < self.host.edge_count):
+                    raise InputError(f"restriction edge {i} out of range")
+                if self.host.is_arc(i):
+                    raise InputError(f"restriction edge {i} is an arc")
+
+    @classmethod
+    def for_variant(
+        cls,
+        host: Host,
+        variant: str,
+        d: Optional[int] = None,
+        restriction: Optional[RestrictionSet] = None,
+    ) -> "TraceQuery":
+        """The query one of ``VARIANTS`` asks of ``host``.
+
+        ``parallel`` and ``antiparallel`` are the restricted question with E
+        empty and E = every edge; ``restricted`` and ``double`` take E from
+        ``restriction``, empty when it is None.  ``dstable`` without ``d``
+        asks order 1, and a restricted variant without ``d`` asks a strong
+        trace.  ``strong`` and ``double`` take no ``d``, and a given ``d``
+        is at least 1.  A mixed host answers only ``restricted``.
+        """
+        if variant not in VARIANTS:
+            raise InputError(f"unknown variant {variant!r}")
+        if d is not None and variant in ("strong", "double"):
+            raise InputError(f"--d does not apply to the {variant} variant")
+        if d is not None and d < 1:
+            raise InputError("repetition order bound must be at least 1")
+        if isinstance(host, MixedGraph) and variant != "restricted":
+            raise InputError(
+                "mixed graphs support only the restricted variant; arcs fix "
+                "their own directions"
+            )
+        if variant == "strong":
+            return cls(host, require_strong=True)
+        if variant == "dstable":
+            return cls(host, d=d or 1)
+        if variant == "parallel" or restriction is None:
+            restriction = RestrictionSet.of(())
+        if variant == "antiparallel":
+            restriction = RestrictionSet.of(range(host.edge_count))
+        if variant == "double":
+            return cls(host, restriction=restriction)
+        return cls(host, require_strong=d is None, d=d or 0, restriction=restriction)
 
 
 def is_connected(host: Host) -> bool:

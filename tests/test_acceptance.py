@@ -25,8 +25,7 @@ from doubletrace import cli
 from doubletrace.construction import (
     _t_join_certificate,
     antiparallel_strong_trace,
-    build_E_restricted_d_stable_trace,
-    build_E_restricted_strong_trace,
+    construct,
     euler_tour,
     merge_closed_walks,
     parallel_strong_trace,
@@ -45,17 +44,6 @@ from doubletrace.errors import CapacityError
 from doubletrace.feasibility import (
     _restricted_analysis,
     find_admissible_tree,
-    has_E_restricted_d_stable_trace,
-    has_E_restricted_d_stable_trace_mixed,
-    has_E_restricted_double_trace,
-    has_E_restricted_strong_trace,
-    has_E_restricted_strong_trace_mixed,
-    has_antiparallel_d_stable_trace,
-    has_antiparallel_strong_trace,
-    has_d_stable_trace,
-    has_parallel_d_stable_trace,
-    has_parallel_strong_trace,
-    has_strong_trace,
     mixed_cut_condition,
     mixed_euler_feasible,
 )
@@ -71,6 +59,8 @@ from doubletrace.traces import (
     transition_system,
     validate_double_trace,
 )
+
+from test_feasibility import ask, build
 
 RESULTS: dict[int, bool] = {}
 
@@ -224,7 +214,7 @@ def test_criterion_1_restricted_strong_master_sweep():
     checked = 0
     for g in population():
         for r in all_restrictions(g.edge_count):
-            decided = has_E_restricted_strong_trace(g, r).verdict
+            decided = ask(g, "restricted", None, r).verdict
             searched = oracle_exists(TraceQuery(g, require_strong=True, restriction=r))
             checked += 1
             if decided != searched:
@@ -247,38 +237,38 @@ def test_criterion_2_variant_sweeps():
         anti_all = RestrictionSet.of(range(m))
         par_all = RestrictionSet.of(())
 
-        if not has_strong_trace(g).verdict:
+        if not ask(g, "strong").verdict:
             bad.append(("strong-structural", g.edges))
         if not oracle_exists(TraceQuery(g, require_strong=True)):
             bad.append(("strong-oracle", g.edges))
 
         for d in (1, 2, 3):
-            decided = has_d_stable_trace(g, d).verdict
+            decided = ask(g, "dstable", d).verdict
             if decided != oracle_exists(TraceQuery(g, d=d)):
                 bad.append(("d-stable", d, g.edges))
 
-        decided = has_antiparallel_strong_trace(g).verdict
+        decided = ask(g, "antiparallel").verdict
         if decided != oracle_exists(TraceQuery(g, require_strong=True, restriction=anti_all)):
             bad.append(("antiparallel", g.edges))
         for d in (1, 2):
-            decided = has_antiparallel_d_stable_trace(g, d).verdict
+            decided = ask(g, "antiparallel", d).verdict
             if decided != oracle_exists(TraceQuery(g, d=d, restriction=anti_all)):
                 bad.append(("antiparallel-d", d, g.edges))
 
-        decided = has_parallel_strong_trace(g).verdict
+        decided = ask(g, "parallel").verdict
         if decided != oracle_exists(TraceQuery(g, require_strong=True, restriction=par_all)):
             bad.append(("parallel", g.edges))
         for d in (1, 2):
-            decided = has_parallel_d_stable_trace(g, d).verdict
+            decided = ask(g, "parallel", d).verdict
             if decided != oracle_exists(TraceQuery(g, d=d, restriction=par_all)):
                 bad.append(("parallel-d", d, g.edges))
 
         for r in all_restrictions(m):
-            decided = has_E_restricted_double_trace(g, r).verdict
+            decided = ask(g, "double", None, r).verdict
             if decided != oracle_exists(TraceQuery(g, restriction=r)):
                 bad.append(("double", g.edges, tuple(sorted(r.antiparallel_edges))))
             for d in (1, 2):
-                decided = has_E_restricted_d_stable_trace(g, r, d).verdict
+                decided = ask(g, "restricted", d, r).verdict
                 if decided != oracle_exists(TraceQuery(g, d=d, restriction=r)):
                     bad.append(
                         ("restricted-d", d, g.edges, tuple(sorted(r.antiparallel_edges)))
@@ -313,19 +303,19 @@ def test_criterion_3_construction_soundness():
         anti_all = RestrictionSet.of(range(m))
         par_all = RestrictionSet.of(())
 
-        free = has_strong_trace(g)
+        free = ask(g, "strong")
         if free.verdict:
-            check("strong", g, cli.build_trace(g, "strong", None, None, free), strong=True)
+            check("strong", g, construct(TraceQuery.for_variant(g, "strong"), free), strong=True)
             # the free-direction build writes its certificate, unsearched
             t_join, answer = _t_join_certificate(g)
             if not answer.certificate.revalidate(_restricted_analysis(g, t_join).witness_on_simplified()):
                 failures.append(("t-join-certificate", g.edges, None))
         for d in (1, 2, 3):
-            free = has_d_stable_trace(g, d)
+            free = ask(g, "dstable", d)
             if free.verdict:
-                check("dstable", g, cli.build_trace(g, "dstable", d, None, free), d=d)
+                check("dstable", g, construct(TraceQuery.for_variant(g, "dstable", d), free), d=d)
 
-        ans = has_antiparallel_strong_trace(g)
+        ans = ask(g, "antiparallel")
         if ans.verdict:
             check(
                 "antiparallel",
@@ -335,39 +325,39 @@ def test_criterion_3_construction_soundness():
                 strong=True,
             )
         for d in (1, 2):
-            if has_antiparallel_d_stable_trace(g, d).verdict:
+            if ask(g, "antiparallel", d).verdict:
                 check(
                     "antiparallel-d",
                     g,
-                    build_E_restricted_d_stable_trace(g, anti_all, d),
+                    build(g, "restricted", d, anti_all),
                     r=anti_all,
                     d=d,
                 )
 
-        if has_parallel_strong_trace(g).verdict:
+        if ask(g, "parallel").verdict:
             check("parallel", g, parallel_strong_trace(g), r=par_all, strong=True)
         for d in (1, 2):
-            if has_parallel_d_stable_trace(g, d).verdict:
+            if ask(g, "parallel", d).verdict:
                 check("parallel-d", g, parallel_strong_trace(g), r=par_all, d=d)
 
         for r in all_restrictions(m):
-            if has_E_restricted_strong_trace(g, r).verdict:
+            if ask(g, "restricted", None, r).verdict:
                 check(
                     "restricted",
                     g,
-                    build_E_restricted_strong_trace(g, r),
+                    build(g, "restricted", None, r),
                     r=r,
                     strong=True,
                 )
-            ans = has_E_restricted_double_trace(g, r)
+            ans = ask(g, "double", None, r)
             if ans.verdict:
-                check("double", g, cli.build_trace(g, "double", None, r, ans), r=r)
+                check("double", g, construct(TraceQuery.for_variant(g, "double", None, r), ans), r=r)
             for d in (1, 2):
-                if has_E_restricted_d_stable_trace(g, r, d).verdict:
+                if ask(g, "restricted", d, r).verdict:
                     check(
                         "restricted-d",
                         g,
-                        build_E_restricted_d_stable_trace(g, r, d),
+                        build(g, "restricted", d, r),
                         r=r,
                         d=d,
                     )
@@ -491,10 +481,10 @@ def test_criterion_6_mixed_graphs():
     bad = []
     for b in pop:
         for r in all_restrictions(len(b.edges)):
-            decided = has_E_restricted_strong_trace_mixed(b, r).verdict
+            decided = ask(b, "restricted", None, r).verdict
             if decided != oracle_exists(TraceQuery(b, require_strong=True, restriction=r)):
                 bad.append(("strong", b.edges, b.arcs, tuple(sorted(r.antiparallel_edges))))
-            decided = has_E_restricted_d_stable_trace_mixed(b, r, 1).verdict
+            decided = ask(b, "restricted", 1, r).verdict
             if decided != oracle_exists(TraceQuery(b, d=1, restriction=r)):
                 bad.append(("d1", b.edges, b.arcs, tuple(sorted(r.antiparallel_edges))))
     assert bad == [], bad[:5]
@@ -624,12 +614,10 @@ def test_criterion_8_capacity_honesty():
     fat_corank = Multigraph(2, tuple((0, 1) for _ in range(19)))  # corank 18
     for past_gate in (thirteen_vertices, fat_corank):
         with pytest.raises(CapacityError):
-            has_antiparallel_strong_trace(past_gate)
+            ask(past_gate, "antiparallel")
         assert find_admissible_tree(past_gate) is not None
     with pytest.raises(CapacityError):
-        has_E_restricted_strong_trace(
-            thirteen_vertices, RestrictionSet.of(range(12))
-        )
+        ask(thirteen_vertices, "restricted", None, RestrictionSet.of(range(12)))
     wide_mixed = MixedGraph(9, tuple((i, (i + 1) % 9) for i in range(9)), ())
     with pytest.raises(CapacityError):
         mixed_cut_condition(wide_mixed)

@@ -13,8 +13,17 @@ from pathlib import Path
 import pytest
 
 from doubletrace import cli, construction, feasibility, search_backend
+from doubletrace.construction import construct
 from doubletrace.errors import ParseError
-from doubletrace.graphs import Graph, MixedGraph, Multigraph, complete_graph, is_connected
+from doubletrace.feasibility import decide
+from doubletrace.graphs import (
+    Graph,
+    MixedGraph,
+    Multigraph,
+    TraceQuery,
+    complete_graph,
+    is_connected,
+)
 from doubletrace.traces import (
     DoubleTrace,
     RestrictionSet,
@@ -237,6 +246,29 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", path, "--variant", "strong", "--d", "2")
         assert code == 2
         assert "--d" in err
+
+    @pytest.mark.parametrize("variant", ["dstable", "antiparallel", "restricted"])
+    def test_d_below_1_rejected(self, tmp_path, capsys, variant):
+        # a disconnected host too: the order is checked before the host
+        for name, text in (("c3.g", C3_TEXT), ("two.g", "n 4\ne 0 1\ne 2 3\n")):
+            path = write(tmp_path, name, text)
+            code, out, err = run_cli(capsys, "check", path, "--variant", variant, "--d", "0")
+            assert (code, out) == (2, "")
+            assert "at least 1" in err
+
+    def test_multigraph_restricted_needs_e_empty_or_every_edge(self, tmp_path, capsys):
+        text = "n 2 multi\ne 0 0\ne 0 1\ne 0 1\n"
+        path = write(tmp_path, "m.g", text + "E 1\n")
+        code, out, err = run_cli(capsys, "check", path, "--variant", "restricted")
+        assert (code, out) == (2, "")
+        assert "needs a simple graph or a mixed graph" in err
+        # the two extremes answer as parallel and antiparallel do
+        for variant, restriction in (("parallel", "E\n"), ("antiparallel", "E 0 1 2\n")):
+            path = write(tmp_path, "m.g", text + restriction)
+            code, doc, _ = run_json(capsys, "check", path, "--variant", "restricted")
+            want_code, want, _ = run_json(capsys, "check", path, "--variant", variant)
+            assert code == want_code
+            assert {**doc, "variant": variant} == want
 
     def test_mixed_defaults_to_restricted(self, tmp_path, capsys):
         path = write(tmp_path, "mix.g", "n 3 mixed\ne 0 1\ne 1 2\na 2 0\n")
@@ -500,7 +532,9 @@ def reference_verdict(host, variant, d):
 class TestRoutedVariants:
     """``parallel`` and ``antiparallel`` are the restricted decision with E
     empty and E = all edges: the routed verdicts match the direct questions
-    on small populations, and every positive builds without the kernel."""
+    on small populations, and every positive builds without the kernel.
+    On multigraphs ``restricted`` with those two restrictions asks the same
+    questions and gets the same answers."""
 
     def cross_check(self, monkeypatch, hosts):
         def refuse(*args, **kwargs):
@@ -509,20 +543,29 @@ class TestRoutedVariants:
         monkeypatch.setattr(search_backend, "run", refuse)
         count = positives = 0
         for host in hosts:
-            for variant, d in itertools.product(("parallel", "antiparallel"), (None, 1, 2)):
+            # (the question asked, the variant that asks it, its restriction)
+            cells = [("parallel", "parallel", None), ("antiparallel", "antiparallel", None)]
+            if isinstance(host, Multigraph):
+                # the restricted variant with E empty or E = every edge, the
+                # two restricted cells a multigraph answers
+                cells += [
+                    ("parallel", "restricted", RestrictionSet.of(())),
+                    ("antiparallel", "restricted", RestrictionSet.of(range(host.edge_count))),
+                ]
+            for (question, variant, file_r), d in itertools.product(cells, (None, 1, 2)):
                 count += 1
-                answer = cli.feasibility_answer(host, variant, d, None)
-                verdict, cert = reference_verdict(host, variant, d)
+                q = TraceQuery.for_variant(host, variant, d, file_r)
+                answer = decide(q)
+                verdict, cert = reference_verdict(host, question, d)
                 assert answer.verdict == verdict, (host, variant, d)
-                if isinstance(host, Graph) and variant == "antiparallel":
+                if isinstance(host, Graph) and question == "antiparallel":
                     assert answer.certificate == cert, (host, d)
                 if not verdict:
                     continue
                 positives += 1
-                walk = cli.build_trace(host, variant, d, None, answer)
-                r = cli._effective_restriction(variant, host, None)
+                walk = construct(q, answer)
                 assert validate_double_trace(walk).ok, (host, variant, d)
-                assert check_restriction(walk, r), (host, variant, d)
+                assert check_restriction(walk, q.restriction), (host, variant, d)
                 assert is_strong(walk) if d is None else is_d_stable(walk, d)
         return count, positives
 
@@ -533,7 +576,7 @@ class TestRoutedVariants:
 
     def test_multigraphs(self, monkeypatch):
         count, positives = self.cross_check(monkeypatch, small_multigraphs())
-        assert count == 6 * 237
+        assert count == 12 * 237
         assert 0 < positives < count
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from doubletrace import cli, construction, search_backend, traces
+from doubletrace import construction, search_backend, traces
 from doubletrace.construction import (
     OpenWalk,
     WalkFamily,
@@ -19,9 +19,7 @@ from doubletrace.construction import (
     _t_join_certificate,
     antiparallel_double_trace_with_repetitions_in,
     antiparallel_strong_trace,
-    build_E_restricted_d_stable_trace,
-    build_E_restricted_strong_trace,
-    build_mixed_trace,
+    construct,
     euler_tour,
     merge_closed_walks,
     parallel_strong_trace,
@@ -36,18 +34,14 @@ from doubletrace.errors import (
 from doubletrace.feasibility import (
     SpanningTreeCertificate,
     _restricted_analysis,
+    decide,
     find_admissible_tree,
-    has_antiparallel_strong_trace,
-    has_E_restricted_d_stable_trace,
-    has_E_restricted_double_trace,
-    has_E_restricted_d_stable_trace_mixed,
-    has_E_restricted_strong_trace,
-    has_E_restricted_strong_trace_mixed,
 )
 from doubletrace.graphs import (
     Graph,
     MixedGraph,
     Multigraph,
+    TraceQuery,
     complete_graph,
     components_with_parity,
     contract_mixed,
@@ -73,6 +67,7 @@ from doubletrace.traces import (
 )
 
 from test_acceptance import small_iso_types
+from test_feasibility import ask, build
 from test_graphs import brute_spanning_trees
 
 C3 = cycle_graph(3)
@@ -368,7 +363,7 @@ class TestMergeClosedWalks:
             edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 6))]
             g = Multigraph(n, edges)
             r = RestrictionSet.of(i for i in range(len(edges)) if rng.random() < 0.5)
-            if not has_E_restricted_double_trace(g, r):
+            if not ask(g, "double", None, r):
                 continue
             w = _restricted_double_trace(g, r)
             assert validate_double_trace(w).ok
@@ -434,23 +429,23 @@ class TestReduceRepetition:
 
 class TestAntiparallelStrongTrace:
     def test_path_boundary_walk(self):
-        ans = has_antiparallel_strong_trace(path_graph(4))
+        ans = ask(path_graph(4), "antiparallel")
         w = antiparallel_strong_trace(path_graph(4), ans.certificate)
         assert w.steps == ((0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1))
 
     def test_star_boundary_walk(self):
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        ans = has_antiparallel_strong_trace(star)
+        ans = ask(star, "antiparallel")
         w = antiparallel_strong_trace(star, ans.certificate)
         assert w.steps == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
 
     def test_single_vertex(self):
         g = Graph(1, [])
-        ans = has_antiparallel_strong_trace(g)
+        ans = ask(g, "antiparallel")
         assert antiparallel_strong_trace(g, ans.certificate).steps == ()
 
     def test_diamond(self):
-        ans = has_antiparallel_strong_trace(DIAMOND)
+        ans = ask(DIAMOND, "antiparallel")
         w = antiparallel_strong_trace(DIAMOND, ans.certificate)
         assert validate_double_trace(w).ok
         assert is_strong(w)
@@ -458,7 +453,7 @@ class TestAntiparallelStrongTrace:
 
     def test_every_positive_small_graph(self):
         for g in connected_graphs(4) + connected_graphs(5):
-            ans = has_antiparallel_strong_trace(g)
+            ans = ask(g, "antiparallel")
             if not ans:
                 continue
             w = antiparallel_strong_trace(g, ans.certificate)
@@ -467,7 +462,7 @@ class TestAntiparallelStrongTrace:
             assert set(classify_directions(w)) <= {ANTIPARALLEL}
 
     def test_foreign_certificate_rejected(self):
-        ans = has_antiparallel_strong_trace(path_graph(4))
+        ans = ask(path_graph(4), "antiparallel")
         with pytest.raises(PreconditionError):
             antiparallel_strong_trace(path_graph(5), ans.certificate)
 
@@ -478,7 +473,7 @@ class TestAntiparallelStrongTrace:
             antiparallel_strong_trace(K4, cert)
 
     def test_deterministic(self):
-        ans = has_antiparallel_strong_trace(DIAMOND)
+        ans = ask(DIAMOND, "antiparallel")
         w1 = antiparallel_strong_trace(DIAMOND, ans.certificate)
         w2 = antiparallel_strong_trace(DIAMOND, ans.certificate)
         assert w1.steps == w2.steps
@@ -488,19 +483,19 @@ class TestAntiparallelStrongTrace:
             raise AssertionError("construction called the search kernel")
 
         monkeypatch.setattr(search_backend, "run", refuse)
-        ans = has_antiparallel_strong_trace(DIAMOND)
+        ans = ask(DIAMOND, "antiparallel")
         assert_antiparallel_strong(antiparallel_strong_trace(DIAMOND, ans.certificate))
-        w = build_E_restricted_strong_trace(K4, K4_STAR)
+        w = build(K4, "restricted", None, K4_STAR)
         assert check_restriction(w, K4_STAR)
         w5 = wheel(5)
         every = RestrictionSet.of(range(w5.edge_count))
-        assert_d_stable_restricted(build_E_restricted_d_stable_trace(w5, every, 1), every, 1)
+        assert_d_stable_restricted(build(w5, "restricted", 1, every), every, 1)
         for g, r in degree_bar_slots():
             # no contracted vertex excuses the verdict's tree
-            cert = has_E_restricted_d_stable_trace(g, r, 1).certificate
+            cert = ask(g, "restricted", 1, r).certificate
             assert not cert.revalidate(_restricted_analysis(g, r).witness_on_simplified())
-            assert_d_stable_restricted(build_E_restricted_d_stable_trace(g, r, 1), r, 1)
-        w = build_mixed_trace(MIXED_BAR, MIXED_BAR_R, 1)
+            assert_d_stable_restricted(build(g, "restricted", 1, r), r, 1)
+        w = build(MIXED_BAR, "restricted", 1, MIXED_BAR_R)
         assert_d_stable_restricted(w, MIXED_BAR_R, 1)
 
     def test_tree_walk_matches_reference(self):
@@ -573,7 +568,7 @@ class TestAntiparallelStrongTrace:
             10,
         )
         start = time.perf_counter()
-        ans = has_antiparallel_strong_trace(g)
+        ans = ask(g, "antiparallel")
         w = antiparallel_strong_trace(g, ans.certificate)
         assert time.perf_counter() - start < 1.0
         assert_antiparallel_strong(w)
@@ -612,7 +607,7 @@ class TestRepetitionsConfined:
 
 class TestRestrictedStrongPipeline:
     def test_k4_star_golden(self):
-        w = build_E_restricted_strong_trace(K4, K4_STAR)
+        w = build(K4, "restricted", None, K4_STAR)
         assert w.steps == (
             (4, 1), (3, 0), (1, 1), (2, 0), (4, 1), (0, 1),
             (1, 0), (5, 0), (2, 1), (0, 0), (3, 0), (5, 0),
@@ -630,26 +625,26 @@ class TestRestrictedStrongPipeline:
         )
         r = RestrictionSet.of([3, 5, 7, 9, 13, 14, 17, 18, 19, 20])
         start = time.perf_counter()
-        w = build_E_restricted_strong_trace(g, r)
+        w = build(g, "restricted", None, r)
         assert time.perf_counter() - start < 1.0
         assert validate_double_trace(w).ok
         assert is_strong(w)
         assert check_restriction(w, r)
 
     def test_empty_restriction_branch(self):
-        w = build_E_restricted_strong_trace(C3, EMPTY)
+        w = build(C3, "restricted", None, EMPTY)
         assert w.steps == parallel_strong_trace(C3).steps
 
     def test_full_restriction_branch(self):
         tree = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        w = build_E_restricted_strong_trace(tree, RestrictionSet.of(range(3)))
+        w = build(tree, "restricted", None, RestrictionSet.of(range(3)))
         assert set(classify_directions(w)) == {ANTIPARALLEL}
         assert is_strong(w)
 
     def test_infeasible_rejected(self):
         # restricting one triangle edge leaves odd degrees outside it
         with pytest.raises(PreconditionError):
-            build_E_restricted_strong_trace(C3, RestrictionSet.of([0]))
+            build(C3, "restricted", None, RestrictionSet.of([0]))
 
     def test_all_small_graphs_all_restrictions(self):
         for g in connected_graphs(4):
@@ -657,10 +652,10 @@ class TestRestrictedStrongPipeline:
                 r = RestrictionSet.of(
                     i for i in range(g.edge_count) if bits >> i & 1
                 )
-                ans = has_E_restricted_strong_trace(g, r)
+                ans = ask(g, "restricted", None, r)
                 if not ans:
                     continue
-                w = build_E_restricted_strong_trace(g, r)
+                w = build(g, "restricted", None, r)
                 assert validate_double_trace(w).ok
                 assert is_strong(w)
                 assert check_restriction(w, r)
@@ -678,34 +673,34 @@ class TestRestrictedStrongPipeline:
         assert is_strong(w)
 
     def test_deterministic(self):
-        w1 = build_E_restricted_strong_trace(K4, K4_STAR)
-        w2 = build_E_restricted_strong_trace(K4, K4_STAR)
+        w1 = build(K4, "restricted", None, K4_STAR)
+        w2 = build(K4, "restricted", None, K4_STAR)
         assert w1.steps == w2.steps
 
 
 class TestRestrictedDStable:
     def test_k4_star_order_two(self):
-        w = build_E_restricted_d_stable_trace(K4, K4_STAR, 2)
+        w = build(K4, "restricted", 2, K4_STAR)
         assert validate_double_trace(w).ok
         assert is_d_stable(w, 2)
         assert check_restriction(w, K4_STAR)
 
     def test_k5_unrestricted_order_three(self):
-        w = build_E_restricted_d_stable_trace(K5, EMPTY, 3)
+        w = build(K5, "restricted", 3, EMPTY)
         assert validate_double_trace(w).ok
         assert is_d_stable(w, 3)
 
     def test_min_degree_gate(self):
         with pytest.raises(PreconditionError):
-            build_E_restricted_d_stable_trace(C3, EMPTY, 2)
+            build(C3, "restricted", 2, EMPTY)
 
     def test_high_degree_witness_split(self):
         # wheel: no all-even tree exists, but the hub has degree 5, so the
         # order-1 verdict rests on the hub, which is split into two halves
         g = wheel(5)
         r = RestrictionSet.of(range(g.edge_count))
-        assert not has_antiparallel_strong_trace(g)
-        w = build_E_restricted_d_stable_trace(g, r, 1)
+        assert not ask(g, "antiparallel")
+        w = build(g, "restricted", 1, r)
         assert_d_stable_restricted(w, r, 1)
         assert set(classify_directions(w)) == {ANTIPARALLEL}
         hub = transition_system(w, 0).components
@@ -720,14 +715,14 @@ class TestRestrictedDStable:
         # every admissible tree of the 5-wheel leaves an odd component that
         # only the hub excuses
         with pytest.raises(InternalConsistencyError, match="degree-bar"):
-            build_E_restricted_d_stable_trace(wheel(5), RestrictionSet.of(range(10)), 1)
+            build(wheel(5), "restricted", 1, RestrictionSet.of(range(10)))
 
     def test_wheels_and_order_two(self):
         # the hub of W_k has degree k; order 2 needs k >= 6
         for k, d in ((6, 1), (7, 1), (9, 1), (11, 1), (6, 2), (7, 2), (11, 2)):
             g = wheel(k)
             r = RestrictionSet.of(range(g.edge_count))
-            assert_d_stable_restricted(build_E_restricted_d_stable_trace(g, r, d), r, d)
+            assert_d_stable_restricted(build(g, "restricted", d, r), r, d)
 
 
 def admissible_trees(h, witness):
@@ -852,20 +847,20 @@ class TestBalancedSplit:
 class TestMixedBuilder:
     def test_no_arcs_matches_plain_builder(self):
         b = MixedGraph(4, K4.edges, ())
-        wm = build_mixed_trace(b, K4_STAR)
-        wp = build_E_restricted_strong_trace(K4, K4_STAR)
+        wm = build(b, "restricted", None, K4_STAR)
+        wp = build(K4, "restricted", None, K4_STAR)
         assert wm.steps == wp.steps
 
     def test_directed_triangle_doubled_tour(self):
         b = MixedGraph(3, (), ((0, 1), (1, 2), (2, 0)))
-        w = build_mixed_trace(b, EMPTY)
+        w = build(b, "restricted", None, EMPTY)
         assert w.steps == ((0, 0), (1, 0), (2, 0), (0, 0), (1, 0), (2, 0))
 
     def test_loop_quotient(self):
         # contract the arc pair between 0 and 1: edge (0,1) becomes a loop
         b = MixedGraph(3, [(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 0)])
         r = RestrictionSet.of([0, 1, 2])
-        w = build_mixed_trace(b, r)
+        w = build(b, "restricted", None, r)
         assert validate_double_trace(w).ok
         assert is_strong(w)
         assert check_restriction(w, r)
@@ -873,7 +868,7 @@ class TestMixedBuilder:
     def test_no_fragment_lift(self):
         b = MixedGraph(4, DIAMOND.edges, ())
         r = RestrictionSet.of(range(5))
-        w = build_mixed_trace(b, r)
+        w = build(b, "restricted", None, r)
         assert validate_double_trace(w).ok
         assert is_strong(w)
         assert check_restriction(w, r)
@@ -881,7 +876,7 @@ class TestMixedBuilder:
     def test_mixed_d_stable(self):
         b = MixedGraph(3, [(0, 1), (1, 2), (2, 0)], [(0, 1), (1, 0)])
         r = RestrictionSet.of([0, 1, 2])
-        w = build_mixed_trace(b, r, 1)
+        w = build(b, "restricted", 1, r)
         assert validate_double_trace(w).ok
         assert is_d_stable(w, 1)
         assert check_restriction(w, r)
@@ -889,7 +884,7 @@ class TestMixedBuilder:
     def test_mixed_d_stable_high_degree_split(self):
         # the order-1 certificate rests on vertex 2, of degree 4, not on a
         # contracted vertex, so vertex 2 is split into two halves of two
-        w = build_mixed_trace(MIXED_BAR, MIXED_BAR_R, 1)
+        w = build(MIXED_BAR, "restricted", 1, MIXED_BAR_R)
         assert w.steps == (
             (1, 1), (6, 1), (3, 0), (8, 1), (9, 0), (7, 1), (0, 0), (5, 0),
             (9, 0), (6, 0), (1, 0), (8, 1), (4, 1), (2, 0), (3, 1), (7, 1),
@@ -914,7 +909,7 @@ class TestMixedBuilder:
             if not is_connected(b):
                 continue
             r = RestrictionSet.of(i for i in range(len(edges)) if rng.random() < 0.7)
-            answer = has_E_restricted_d_stable_trace_mixed(b, r, 1)
+            answer = ask(b, "restricted", 1, r)
             if not answer or not r.antiparallel_edges:
                 continue
             cmap = contract_mixed(
@@ -925,14 +920,14 @@ class TestMixedBuilder:
                 lambda v: v < limit and v in cmap.eprime_vertices
             ):
                 continue
-            assert_d_stable_restricted(build_mixed_trace(b, r, 1), r, 1)
+            assert_d_stable_restricted(build(b, "restricted", 1, r), r, 1)
             built += 1
         assert built >= 40
 
     def test_infeasible_rejected(self):
         b = MixedGraph(3, [(0, 1), (1, 2)], [(0, 2), (2, 0)])
         with pytest.raises(PreconditionError):
-            build_mixed_trace(b, EMPTY)
+            build(b, "restricted", None, EMPTY)
 
     def test_small_positive_sweep(self):
         # every weakly connected mixed graph on 3 vertices with at most
@@ -955,9 +950,9 @@ class TestMixedBuilder:
                     r = RestrictionSet.of(
                         i for i in range(len(edges)) if rbits >> i & 1
                     )
-                    if not has_E_restricted_strong_trace_mixed(b, r):
+                    if not ask(b, "restricted", None, r):
                         continue
-                    w = build_mixed_trace(b, r)
+                    w = build(b, "restricted", None, r)
                     assert validate_double_trace(w).ok
                     assert is_strong(w)
                     assert check_restriction(w, r)
@@ -1021,7 +1016,7 @@ def reference_repair(walk, vertices):
 
 
 class TestBuildEveryPositive:
-    """Every restricted positive builds through ``cli.build_trace`` from its
+    """Every restricted positive builds through ``construct`` from its
     own verdict, with the kernel refused, into a valid trace of its kind.
     E empty and E = every edge are the parallel and antiparallel questions;
     ``test_cli.TestRoutedVariants`` builds those under their own names on
@@ -1035,11 +1030,12 @@ class TestBuildEveryPositive:
         monkeypatch.setattr(search_backend, "run", refuse)
 
     def build(self, host, variant, d, file_r):
-        answer = cli.feasibility_answer(host, variant, d, file_r)
+        q = TraceQuery.for_variant(host, variant, d, file_r)
+        answer = decide(q)
         if not answer:
             return 0
-        walk = cli.build_trace(host, variant, d, file_r, answer)
-        r = cli._effective_restriction(variant, host, file_r)
+        walk = construct(q, answer)
+        r = q.restriction
         assert validate_double_trace(walk).ok, (host, r, d)
         assert check_restriction(walk, r), (host, r, d)
         assert is_strong(walk) if d is None else is_d_stable(walk, d), (host, r, d)
@@ -1134,9 +1130,10 @@ class TestIndexedRepair:
             g = seeded_graph(rng, n, rng.randint(n, min(2 * n, n * (n - 1) // 2)))
             r = RestrictionSet.of(i for i in range(g.edge_count) if rng.random() < 0.5)
             for d in (None, 1):
-                answer = cli.feasibility_answer(g, "restricted", d, r)
+                q = TraceQuery.for_variant(g, "restricted", d, r)
+                answer = decide(q)
                 if answer:
-                    cli.build_trace(g, "restricted", d, r, answer)
+                    construct(q, answer)
         cuts = 0
         for walk, vertices, out in seen:
             want = reference_repair(walk, vertices)
@@ -1167,7 +1164,7 @@ class TestLinearPasses:
 
     def strong_trace(self, m):
         g = seeded_graph(random.Random(m), m // 2, m)
-        return cli.build_trace(g, "strong", None, None, cli.feasibility_answer(g, "strong", None, None))
+        return build(g, "strong")
 
     def test_strong_build_at_800_edges_rescans_nothing(self, monkeypatch):
         calls = []

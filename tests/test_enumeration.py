@@ -199,9 +199,20 @@ class TestEquivalenceClasses:
         for c in classes:
             assert check_restriction(DoubleTrace(C3, c.canonical), r)
 
-    def test_multigraph_hosts_rejected(self):
-        with pytest.raises(InputError):
-            enumerate_classes(TraceQuery(LOOP))
+    def test_multigraph_and_mixed_hosts_fold_every_sequence(self):
+        # the identity is their only relabeling, and every fixed-start
+        # sequence is folded, not only each class's least one
+        mixed = MixedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], [(1, 3)])
+        queries = [
+            TraceQuery(LOOP),
+            TraceQuery(LOOP, require_strong=True),
+            TraceQuery(mixed, require_strong=True, restriction=RestrictionSet.of((0, 2))),
+            TraceQuery(mixed, d=1, restriction=RestrictionSet.of((0, 2))),
+        ]
+        for q in queries:
+            want = fold_classes(q.host, fixed_start_sequences(q))
+            assert want
+            assert [(c.canonical, c.size) for c in enumerate_classes(q)] == want
 
 
 def reference_orbit(host, steps, auts, use_reversal):

@@ -9,22 +9,13 @@ import pytest
 
 from doubletrace import feasibility
 from doubletrace.errors import CapacityError, InputError, PreconditionError
+from doubletrace.construction import construct
 from doubletrace.feasibility import (
     SpanningTreeCertificate,
     _as_predicate,
     _restricted_analysis,
+    decide,
     find_admissible_tree,
-    has_antiparallel_d_stable_trace,
-    has_antiparallel_strong_trace,
-    has_d_stable_trace,
-    has_E_restricted_d_stable_trace,
-    has_E_restricted_d_stable_trace_mixed,
-    has_E_restricted_double_trace,
-    has_E_restricted_strong_trace,
-    has_E_restricted_strong_trace_mixed,
-    has_parallel_d_stable_trace,
-    has_parallel_strong_trace,
-    has_strong_trace,
     mixed_cut_condition,
     mixed_euler_feasible,
 )
@@ -32,6 +23,7 @@ from doubletrace.graphs import (
     Graph,
     MixedGraph,
     Multigraph,
+    TraceQuery,
     complete_graph,
     components_with_parity,
     cycle_graph,
@@ -49,6 +41,17 @@ K4 = complete_graph(4)
 K5 = complete_graph(5)
 DIAMOND = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 KERNEL_SLOTS = Path(__file__).parent.parent / "e2ebench" / "kernel_slots.json"
+
+
+def ask(host, variant, d=None, r=None):
+    """The verdict on one named variant: ``decide`` of its query."""
+    return decide(TraceQuery.for_variant(host, variant, d, r))
+
+
+def build(host, variant, d=None, r=None):
+    """The trace behind the verdict on one named variant."""
+    q = TraceQuery.for_variant(host, variant, d, r)
+    return construct(q, decide(q))
 
 
 def icosahedron():
@@ -107,57 +110,101 @@ def tree_is_admissible_by_hand(g, tree, witness=None):
 class TestUnrestricted:
     def test_strong_always(self):
         for g in (K1, C3, K4, path_graph(4)):
-            assert has_strong_trace(g)
+            assert ask(g, "strong")
 
     def test_disconnected_rejected(self):
         with pytest.raises(PreconditionError):
-            has_strong_trace(Graph(3, [(0, 1)]))
+            ask(Graph(3, [(0, 1)]), "strong")
 
     def test_d_stable_is_min_degree(self):
-        assert has_d_stable_trace(K4, 2)
-        assert not has_d_stable_trace(K4, 3)
-        assert has_d_stable_trace(C3, 1)
-        assert not has_d_stable_trace(C3, 2)
-        assert not has_d_stable_trace(path_graph(3), 1)
+        assert ask(K4, "dstable", 2)
+        assert not ask(K4, "dstable", 3)
+        assert ask(C3, "dstable", 1)
+        assert not ask(C3, "dstable", 2)
+        assert not ask(path_graph(3), "dstable", 1)
 
     def test_isolated_vertex_forces_nothing(self):
         # a lone vertex carries the empty trace, which repeats nothing
-        assert has_d_stable_trace(K1, 1)
-        assert has_d_stable_trace(K1, 7)
+        assert ask(K1, "dstable", 1)
+        assert ask(K1, "dstable", 7)
 
     def test_d_must_be_positive(self):
-        with pytest.raises(InputError):
-            has_d_stable_trace(C3, 0)
+        # d = 0 bounds nothing in a query, so the variant refuses it
+        for variant in ("dstable", "antiparallel", "parallel", "restricted"):
+            with pytest.raises(InputError, match="at least 1"):
+                TraceQuery.for_variant(C3, variant, 0)
+
+
+class TestQueryShapes:
+    """``decide`` reads the shape (require_strong, d, restriction); the
+    shapes no variant produces, and the host kinds a shape does not fit,
+    raise InputError."""
+
+    def test_strong_and_d_stable_at_once(self):
+        with pytest.raises(InputError, match="not both"):
+            decide(TraceQuery(K4, require_strong=True, d=1))
+        with pytest.raises(InputError, match="not both"):
+            decide(TraceQuery(K4, require_strong=True, d=1, restriction=RestrictionSet.of(())))
+
+    def test_empty_shape(self):
+        with pytest.raises(InputError, match="without a restriction"):
+            decide(TraceQuery(K4))
+
+    def test_mixed_host_needs_a_restricted_shape(self):
+        b = MixedGraph(2, edges=[], arcs=[(0, 1), (1, 0)])
+        for q in (
+            TraceQuery(b, require_strong=True),
+            TraceQuery(b, d=1),
+            TraceQuery(b, restriction=RestrictionSet.of(())),
+        ):
+            with pytest.raises(InputError, match="mixed host"):
+                decide(q)
+        assert decide(TraceQuery(b, require_strong=True, restriction=RestrictionSet.of(())))
+        for variant in ("strong", "dstable", "parallel", "antiparallel", "double"):
+            with pytest.raises(InputError, match="only the restricted variant"):
+                TraceQuery.for_variant(b, variant)
+
+    def test_multigraph_restricted_only_at_the_extremes(self):
+        h = Multigraph(2, [(0, 0), (0, 1), (0, 1)])
+        for d in (None, 1):
+            with pytest.raises(InputError, match="needs a simple graph or a mixed graph"):
+                ask(h, "restricted", d, RestrictionSet.of((0,)))
+            for edges, variant in (((), "parallel"), ((0, 1, 2), "antiparallel")):
+                got = ask(h, "restricted", d, RestrictionSet.of(edges))
+                want = ask(h, variant, d)
+                assert (got.verdict, got.violated) == (want.verdict, want.violated)
+        # the double question takes any E on a multigraph
+        assert ask(h, "double", None, RestrictionSet.of((1, 2)))
 
 
 class TestAntiparallel:
     def test_trees_always_admit(self):
         for g in (path_graph(2), path_graph(5), Graph(4, [(0, 1), (0, 2), (0, 3)])):
-            ans = has_antiparallel_strong_trace(g)
+            ans = ask(g, "antiparallel")
             assert ans
             assert ans.certificate is not None
 
     def test_cycles_never(self):
         # the single co-tree edge is its own odd component
         for n in (3, 4, 5):
-            assert not has_antiparallel_strong_trace(cycle_graph(n))
+            assert not ask(cycle_graph(n), "antiparallel")
 
     def test_k4_fails(self):
         # every spanning tree leaves three co-tree edges, never all even
-        ans = has_antiparallel_strong_trace(K4)
+        ans = ask(K4, "antiparallel")
         assert not ans
         assert ans.violated
 
     def test_diamond_succeeds(self):
         # tree {02,01,03} leaves the two edges at vertex 1 as one even piece
-        ans = has_antiparallel_strong_trace(DIAMOND)
+        ans = ask(DIAMOND, "antiparallel")
         assert ans
         cert = ans.certificate
         assert cert.admissible
         assert cert.deficiency == 0
 
     def test_certificate_matches_some_spanning_tree(self):
-        ans = has_antiparallel_strong_trace(DIAMOND)
+        ans = ask(DIAMOND, "antiparallel")
         assert ans.certificate.tree_edges in brute_spanning_trees(DIAMOND)
 
     def test_exhaustive_against_brute_trees(self):
@@ -166,81 +213,81 @@ class TestAntiparallel:
             expected = any(
                 tree_is_admissible_by_hand(g, t) for t in brute_spanning_trees(g)
             )
-            assert bool(has_antiparallel_strong_trace(g)) == expected
+            assert bool(ask(g, "antiparallel")) == expected
 
     def test_d_stable_needs_high_degree_witness(self):
         # K4 degrees stop at 3 < 2d+2, so d-stable antiparallel fails
-        assert not has_antiparallel_d_stable_trace(K4, 1)
+        assert not ask(K4, "antiparallel", 1)
         # K5: star tree leaves the other K4 as a single 6-edge component
-        ans = has_antiparallel_d_stable_trace(K5, 1)
+        ans = ask(K5, "antiparallel", 1)
         assert ans
 
     def test_k1_vacuous(self):
-        assert has_antiparallel_strong_trace(K1)
-        assert has_antiparallel_d_stable_trace(K1, 3)
+        assert ask(K1, "antiparallel")
+        assert ask(K1, "antiparallel", 3)
 
 
 class TestParallel:
     def test_needs_eulerian(self):
-        assert has_parallel_strong_trace(C3)
-        assert has_parallel_strong_trace(K5)
-        assert not has_parallel_strong_trace(K4)
-        assert not has_parallel_strong_trace(path_graph(3))
+        assert ask(C3, "parallel")
+        assert ask(K5, "parallel")
+        assert not ask(K4, "parallel")
+        assert not ask(path_graph(3), "parallel")
 
     def test_d_stable_adds_degree_gate(self):
-        assert has_parallel_d_stable_trace(C3, 1)
-        assert not has_parallel_d_stable_trace(C3, 2)
-        assert has_parallel_d_stable_trace(K5, 3)
-        assert not has_parallel_d_stable_trace(K5, 4)
+        assert ask(C3, "parallel", 1)
+        assert not ask(C3, "parallel", 2)
+        assert ask(K5, "parallel", 3)
+        assert not ask(K5, "parallel", 4)
 
 
 class TestRestrictedDouble:
     def test_complement_must_be_even(self):
         star = RestrictionSet.of((0, 1, 2))  # edges at vertex 0 in K4
-        ans = has_E_restricted_double_trace(K4, star)
+        ans = ask(K4, "double", None, star)
         assert ans
         assert ans.even_fragment is not None
         one = RestrictionSet.of((0,))
-        assert not has_E_restricted_double_trace(K4, one)
+        assert not ask(K4, "double", None, one)
 
     def test_extremes_match_simple_variants(self):
         # no antiparallel edges: complement is everything, needs even graph
-        assert bool(has_E_restricted_double_trace(K4, RestrictionSet.of(()))) \
-            == bool(has_parallel_strong_trace(K4).verdict or
+        assert bool(ask(K4, "double", None, RestrictionSet.of(()))) \
+            == bool(ask(K4, "parallel").verdict or
                     all(K4.degree(v) % 2 == 0 for v in range(4)))
         # all antiparallel: complement empty, always even
-        assert has_E_restricted_double_trace(K4, RestrictionSet.of(range(6)))
+        assert ask(K4, "double", None, RestrictionSet.of(range(6)))
 
 
 class TestRestrictedStrong:
     def test_k4_star(self):
         star = RestrictionSet.of((0, 1, 2))
-        ans = has_E_restricted_strong_trace(K4, star)
+        ans = ask(K4, "restricted", None, star)
         assert ans
         assert ans.certificate is not None
 
     def test_k4_single_edge_fails_on_fragment(self):
-        ans = has_E_restricted_strong_trace(K4, RestrictionSet.of((0,)))
+        ans = ask(K4, "restricted", None, RestrictionSet.of((0,)))
         assert not ans
 
     def test_full_restriction_reduces_to_antiparallel(self):
         for g in (C3, K4, DIAMOND):
             r = RestrictionSet.of(range(g.edge_count))
-            assert bool(has_E_restricted_strong_trace(g, r)) == bool(
-                has_antiparallel_strong_trace(g)
+            assert bool(ask(g, "restricted", None, r)) == bool(
+                ask(g, "antiparallel")
             )
 
     def test_empty_restriction_reduces_to_parallel(self):
         for g in (C3, K4, K5):
             r = RestrictionSet.of(())
-            assert bool(has_E_restricted_strong_trace(g, r)) == bool(
-                has_parallel_strong_trace(g)
+            assert bool(ask(g, "restricted", None, r)) == bool(
+                ask(g, "parallel")
             )
 
     def test_d_stable_variant(self):
         star = RestrictionSet.of((0, 1, 2))
-        assert has_E_restricted_d_stable_trace(K4, star, 1)
-        assert not has_E_restricted_d_stable_trace(K4, star, 3)
+        assert ask(K4, "restricted", 1, star)
+        assert not ask(K4, "restricted", 3, star)
 
 
 class TestTreeSearch:
@@ -257,18 +304,18 @@ class TestTreeSearch:
     def test_vertex_gate(self):
         # the decider gates the search; the search itself answers
         with pytest.raises(CapacityError):
-            has_antiparallel_strong_trace(path_graph(14))
+            ask(path_graph(14), "antiparallel")
         assert find_admissible_tree(path_graph(14)) is not None
 
     def test_corank_gate(self):
         fat = Multigraph(2, [(0, 1)] * 19)  # corank 18
         with pytest.raises(CapacityError):
-            has_antiparallel_strong_trace(fat)
+            ask(fat, "antiparallel")
         # the 18 co-tree edges form a single even component
         assert find_admissible_tree(fat) is not None
         # odd rank without witnesses is refuted before the gate
         odd = Multigraph(2, [(0, 1)] * 18)
-        ans = has_antiparallel_strong_trace(odd)
+        ans = ask(odd, "antiparallel")
         assert not ans
         assert "co-tree rank 17 is odd" in ans.violated[0]
         assert find_admissible_tree(odd) is None
@@ -406,12 +453,12 @@ class TestOddRankRefutation:
         for g, rank in ((icosahedron(), 19), (dodecahedron(), 11)):
             assert g.edge_count == 30
             assert is_connected(g)
-            ans = has_antiparallel_strong_trace(g)
+            ans = ask(g, "antiparallel")
             assert not ans
             assert ans.certificate is None
             assert f"co-tree rank {rank} is odd" in ans.violated[0]
             full = RestrictionSet.of(range(g.edge_count))
-            ans = has_E_restricted_strong_trace(g, full)
+            ans = ask(g, "restricted", None, full)
             assert not ans
             assert f"co-tree rank {rank} is odd" in ans.violated[0]
 
@@ -425,19 +472,19 @@ class TestOddRankRefutation:
         monkeypatch.setattr(feasibility, "find_admissible_tree", spy)
         # K5 plus the path 4-5-6-0: rank 7, K5's vertices reach degree 4
         g = Graph(7, list(K5.edges) + [(4, 5), (5, 6), (6, 0)])
-        ans = has_antiparallel_d_stable_trace(g, 1)
+        ans = ask(g, "antiparallel", 1)
         assert ans
         assert ans.certificate.revalidate(lambda v: g.degree(v) >= 4)
         # K5 bridged to a triangle: rank 7, and the triangle's co-tree edge
         # never reaches a vertex of degree 4
         g = Graph(8, list(K5.edges) + [(4, 5), (5, 6), (6, 7), (7, 5)])
-        ans = has_antiparallel_d_stable_trace(g, 1)
+        ans = ask(g, "antiparallel", 1)
         assert not ans
         assert "co-tree rank" not in ans.violated[0]
         # two triangles at vertex 0, the second restricted: the quotient is
         # a triangle (rank 1) through the contracted first one
         g = Graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
-        ans = has_E_restricted_strong_trace(g, RestrictionSet.of((3, 4, 5)))
+        ans = ask(g, "restricted", None, RestrictionSet.of((3, 4, 5)))
         assert ans
         assert ans.certificate is not None
         assert calls == [7, 7, 1]
@@ -445,11 +492,11 @@ class TestOddRankRefutation:
 
 class TestCertificateRevalidation:
     def test_good_certificate_survives(self):
-        cert = has_antiparallel_strong_trace(DIAMOND).certificate
+        cert = ask(DIAMOND, "antiparallel").certificate
         assert cert.revalidate()
 
     def test_tampered_tree_detected(self):
-        cert = has_antiparallel_strong_trace(DIAMOND).certificate
+        cert = ask(DIAMOND, "antiparallel").certificate
         swapped_in = next(e for e in range(DIAMOND.edge_count)
                           if e not in cert.tree_edges)
         kept = sorted(cert.tree_edges)[:2]
@@ -461,7 +508,7 @@ class TestCertificateRevalidation:
         assert not bad.revalidate()
 
     def test_stale_report_detected(self):
-        good = has_antiparallel_strong_trace(DIAMOND).certificate
+        good = ask(DIAMOND, "antiparallel").certificate
         other = find_admissible_tree(C3, witness={0})
         forged = SpanningTreeCertificate(
             host=good.host,
@@ -512,14 +559,14 @@ class TestMixed:
         b = MixedGraph(4, edges=[(0, 1), (1, 2), (2, 3), (3, 0)],
                        arcs=[(0, 2), (2, 0)])
         r = RestrictionSet.of((0,))
-        ans = has_E_restricted_strong_trace_mixed(b, r)
+        ans = ask(b, "restricted", None, r)
         assert isinstance(ans.verdict, bool)
-        d_ans = has_E_restricted_d_stable_trace_mixed(b, r, 1)
+        d_ans = ask(b, "restricted", 1, r)
         assert isinstance(d_ans.verdict, bool)
 
     def test_mixed_without_arcs_matches_plain(self):
         b = MixedGraph(4, edges=list(K4.edges), arcs=[])
         star = RestrictionSet.of((0, 1, 2))
-        assert bool(has_E_restricted_strong_trace_mixed(b, star)) == bool(
-            has_E_restricted_strong_trace(K4, star)
+        assert bool(ask(b, "restricted", None, star)) == bool(
+            ask(K4, "restricted", None, star)
         )
