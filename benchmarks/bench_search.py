@@ -1,6 +1,6 @@
 """Time the exhaustive search kernel on fixed workloads, the folding of
-its enumeration output into symmetry classes, and the enumeration that
-emits one lex-leader per class instead.
+its enumeration output into symmetry classes, the enumeration that
+emits one lex-leader per class instead, and the CLI's ``--p`` sweeps.
 
 Run from the repository root:
 
@@ -8,10 +8,15 @@ Run from the repository root:
 """
 
 import argparse
+import contextlib
+import io
+import os
 import statistics
+import sys
+import tempfile
 import time
 
-from doubletrace import search_backend
+from doubletrace import cli, search_backend
 from doubletrace.enumeration import _step_tables, fold_classes
 from doubletrace.graphs import Graph, automorphisms, complete_graph, cycle_graph
 from doubletrace.search_backend import (
@@ -153,6 +158,30 @@ def bench_fold(g, kw, repeat):
     return statistics.median(times), len(sequences), len(classes)
 
 
+def bench_sweeps(repeat):
+    """cli.main on the --p queries of the e2ebench enumerate workload, the
+    command lines as the workload writes them, all in one timing."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "e2ebench"))
+    import hosts
+    import workloads
+
+    sweeps = [q for q in workloads.build("enumerate", 0) if q.p is not None]
+    times = []
+    with tempfile.TemporaryDirectory() as tmp:
+        argvs = []
+        for k, q in enumerate(sweeps):
+            path = os.path.join(tmp, f"{k}.g")
+            with open(path, "w") as fh:
+                fh.write(hosts.render(q.host, q.restriction))
+            argvs.append(q.argv(path))
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(argv) for argv in argvs]
+            times.append(time.perf_counter() - t0)
+    return statistics.median(times), len(sweeps), codes
+
+
 def summarize(result, kw):
     mode = kw["mode"]
     if mode == MODE_COUNT_RAW:
@@ -176,6 +205,8 @@ def main():
     for name, g, kw in FOLD_CASES:
         t, sequences, classes = bench_fold(g, kw, args.repeat)
         print(f"{name:<28} {t * 1e3:>8.1f}ms  sequences={sequences} classes={classes}")
+    t, queries, codes = bench_sweeps(args.repeat)
+    print(f"{'--p sweeps':<28} {t * 1e3:>8.1f}ms  queries={queries} exits={codes}")
 
 
 if __name__ == "__main__":

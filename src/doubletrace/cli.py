@@ -11,20 +11,12 @@ exhaustive step was hit, which is an "unknown", not a "no").
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import os
 import sys
 from typing import Optional, Sequence
 
 from .construction import construct
-from .enumeration import (
-    _enum_fixed,
-    _fixing,
-    _fold,
-    _step_tables,
-    enumerate_classes,
-)
+from .enumeration import enumerate_classes, enumerate_sweep
 from .errors import (
     CapacityError,
     DoubleTraceError,
@@ -40,7 +32,6 @@ from .graphs import (
     MixedGraph,
     RestrictionSet,
     TraceQuery,
-    automorphisms,
     parse_graph,
     render_graph,
 )
@@ -263,46 +254,6 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _sweep_job(item):
-    """One member per class of one restriction's traces."""
-    g, anti, d, tables = item
-    if d is None:
-        q = TraceQuery(g, require_strong=True, restriction=RestrictionSet.of(anti))
-    else:
-        q = TraceQuery(g, d=d, restriction=RestrictionSet.of(anti))
-    return [leader for leader, _ in _enum_fixed(q, None, tables)]
-
-
-def _restriction_size_sweep(
-    g: Graph, p: int, d: Optional[int], jobs: int
-) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-    """Classes (canonical trace, size) over every restriction of size p,
-    folded under the full symmetry group.  The group maps the traces of a
-    restriction onto those of every restriction in its orbit, so one
-    restriction per orbit, the first in combination order, is searched, and
-    its classes under the tables that fix it are the group's that meet it."""
-    if not (0 <= p <= g.edge_count):
-        raise InputError(f"--p must be between 0 and {g.edge_count}")
-    tables = _step_tables(g, automorphisms(g))
-    edge_maps = [[c >> 1 for c in table[::2]] for table in tables]
-    seen: set[frozenset[int]] = set()
-    work = []
-    for combo in itertools.combinations(range(g.edge_count), p):
-        anti = frozenset(combo)
-        if anti not in seen:
-            seen.update(frozenset(image[i] for i in anti) for image in edge_maps)
-            work.append((g, anti, d, _fixing(tables, anti)))
-    if jobs > 1:
-        # imported here: it costs every other query memory and start-up time
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            batches = pool.map(_sweep_job, work)
-    else:
-        batches = [_sweep_job(item) for item in work]
-    return _fold(g, itertools.chain.from_iterable(batches), tables)
-
-
 def _cmd_enumerate(args) -> int:
     host, file_r = _load_document(args.file)
     variant = _resolve_variant(args, host, file_r)
@@ -313,16 +264,13 @@ def _cmd_enumerate(args) -> int:
             raise InputError(f"--p fixes the direction sets; drop --variant {variant}")
         # the query checks --d and gives dstable its default order
         d = TraceQuery.for_variant(host, variant, args.d).d or None
-        classes = _restriction_size_sweep(host, args.p, d, args.jobs)
+        classes = enumerate_sweep(host, args.p, d)
     else:
         if args.classes and not isinstance(host, Graph):
             raise InputError("--classes needs a simple graph")
-        query = TraceQuery.for_variant(host, variant, args.d, file_r)
-        classes = [(c.canonical, c.size) for c in enumerate_classes(query)]
-    reps = [rep for rep, _ in classes]
-    sizes = [size for _, size in classes]
+        classes = enumerate_classes(TraceQuery.for_variant(host, variant, args.d, file_r))
     doc = {
-        "count": len(reps),
+        "count": len(classes),
         "p": args.p,
         "variant": variant,
     }
@@ -330,15 +278,14 @@ def _cmd_enumerate(args) -> int:
     if args.classes:
         doc["outcome"] = "classes"
         doc["classes"] = [
-            {"size": s, "steps": _steps_json(records, rep)}
-            for rep, s in zip(reps, sizes)
+            {"size": c.size, "steps": _steps_json(records, c.canonical)} for c in classes
         ]
-        doc["raw_total"] = sum(sizes)
+        doc["raw_total"] = sum(c.size for c in classes)
     else:
         doc["outcome"] = "traces"
-        doc["traces"] = [_steps_json(records, rep) for rep in reps]
+        doc["traces"] = [_steps_json(records, c.canonical) for c in classes]
     _emit(doc)
-    return 0 if reps else 1
+    return 0 if classes else 1
 
 
 def _read_trace_steps(doc, host: Host) -> tuple[tuple[int, int], ...]:
@@ -424,14 +371,6 @@ def _cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("DOUBLETRACE_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doubletrace",
@@ -450,9 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--d", type=int, default=None, metavar="K",
                        help="require d-stability of order K")
-        p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="worker processes for sweep steps (default 1, "
-                       "or DOUBLETRACE_JOBS)")
+        p.add_argument("--jobs", type=int, metavar="N",
+                       help="accepted and ignored: every command runs in one process")
 
     p_check = sub.add_parser("check", help="decide whether a trace exists")
     common(p_check)
@@ -482,9 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except CapacityError as exc:

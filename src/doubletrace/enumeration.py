@@ -9,6 +9,7 @@ an answer.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -179,10 +180,22 @@ def _orbit_images(
     return [apply(back if reverse else codes, table) for reverse, table in maps]
 
 
-def _fold(
-    host: Host, sequences: Iterable[Sequence[Step]], tables: list[list[int]]
+def fold_classes(
+    host: Host,
+    sequences: Iterable[Sequence[Step]],
+    auts: tuple[tuple[int, ...], ...] | None = None,
 ) -> list[tuple[tuple[Step, ...], int]]:
-    """fold_classes over the step tables of the relabelings."""
+    """Symmetry classes among step sequences: (canonical form, size), sorted.
+
+    Folds as canonical_form does, on codes ``2e + f`` (ordered like
+    ``(e, f)``).  Sizes come from orbit-stabilizer: distinct least rotations
+    among the images times the rotation period.  Orbit work is done once per
+    class; its members that start with edge 0 are then one lookup away.
+    """
+    if auts is None:
+        simple = isinstance(host, Graph)
+        auts = automorphisms(host) if simple else (tuple(range(host.vertex_count)),)
+    tables = _step_tables(host, auts)
     maps = [(False, t) for t in tables]
     if not host.arcs:
         # reversal flips every step as well: code c becomes c ^ 1
@@ -211,24 +224,6 @@ def _fold(
         canon = min(least)
         sizes.setdefault(canon, len(least) * _period(canon))
     return [(tuple((c >> 1, c & 1) for c in canon), sizes[canon]) for canon in sorted(sizes)]
-
-
-def fold_classes(
-    host: Host,
-    sequences: Iterable[Sequence[Step]],
-    auts: tuple[tuple[int, ...], ...] | None = None,
-) -> list[tuple[tuple[Step, ...], int]]:
-    """Symmetry classes among step sequences: (canonical form, size), sorted.
-
-    Folds as canonical_form does, on codes ``2e + f`` (ordered like
-    ``(e, f)``).  Sizes come from orbit-stabilizer: distinct least rotations
-    among the images times the rotation period.  Orbit work is done once per
-    class; its members that start with edge 0 are then one lookup away.
-    """
-    if auts is None:
-        simple = isinstance(host, Graph)
-        auts = automorphisms(host) if simple else (tuple(range(host.vertex_count)),)
-    return _fold(host, sequences, _step_tables(host, auts))
 
 
 def canonical_form(
@@ -282,4 +277,38 @@ def enumerate_classes(
         tables = _fixing(tables, query.restriction.antiparallel_edges)
     # the kernel emits only each class's least member, with its size
     leaders = _enum_fixed(query, max_edges, tables)
+    return [EquivalenceClass(canon, size) for canon, size in sorted(leaders)]
+
+
+def enumerate_sweep(host: Graph, p: int, d: int | None) -> list[EquivalenceClass]:
+    """Classes of the strong traces, or given ``d`` the d-stable ones, whose
+    antiparallel edges are any ``p`` edges, under the whole symmetry group.
+
+    Every restriction of size p is searched under the step tables of every
+    automorphism, not only of those that fix it.  A relabeling maps a trace
+    whose antiparallel set is A onto one whose set is the image of A, so
+    every image is still a trace of the sweep, and each class is emitted
+    once: by the restriction its least member carries, with its size under
+    the whole group.
+    """
+    m = host.edge_count
+    if not 0 <= p <= m:
+        raise InputError(f"--p must be between 0 and {m}")
+    query = TraceQuery(host, require_strong=d is None, d=d or 0)
+    _gate(query, ORACLE_ENUM_MAX_EDGES, None)
+    if not is_connected(host):
+        return []
+    if m == 0:
+        return [EquivalenceClass((), 1)]
+    tables = _step_tables(host, automorphisms(host))
+    n, ea, eb, _ = lower_query(query)
+    leaders = []
+    for anti in itertools.combinations(range(m), p):
+        labels = [search_backend.PAR] * m
+        for i in anti:
+            labels[i] = search_backend.ANTI
+        leaders += search_backend.run(
+            n, ea, eb, labels, query.require_strong, query.d, search_backend.MODE_ENUM_FIXED,
+            tables=tables,
+        )
     return [EquivalenceClass(canon, size) for canon, size in sorted(leaders)]

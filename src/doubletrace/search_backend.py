@@ -38,12 +38,21 @@ smaller cuts the branch, larger drops the pair.  A forward pair starts
 where its table maps the new code to 0; a reversed pair starting there
 reads back to step 0, all known, and is compared at once.  At a leaf the
 ties are compared across the wrap-around: a smaller rotation rejects it,
-a full tie is one stabilizer element.  Sound, since relabelings and
-reversal keep every constraint, and an image that beats a prefix within
-the window the prefix fixes beats all its extensions; on arc-free hosts
-each class's least member starts with code 0 (reversal turns a code 1
-into 0), so it is emitted.  By orbit-stabilizer the class has
-2 * len(tables) * L / |stabilizer| members, L being the walk length.
+a full tie is one stabilizer element.  Sound, since each image of a
+satisfying walk is a member of the family enumerated, and an image that
+beats a prefix within the window the prefix fixes beats all its
+extensions; on arc-free hosts each class's least member starts with code
+0 (reversal turns a code 1 into 0), so it is emitted.  By
+orbit-stabilizer the class has 2 * len(tables) * L / |stabilizer|
+members, L being the walk length.
+
+The tables need not fix the labels, only the family.  A relabeling maps
+a walk whose antiparallel set is A onto one whose set is the image of A,
+as strong or as stable as before, and reversal keeps every set.  So the
+searches of every restriction in a union of the group's orbits, each
+under the whole group's tables, enumerate one family: each class is
+emitted once, by the restriction its least member carries, with its size
+under the whole group (``enumeration.enumerate_sweep``).
 
 Edge labels: 0 free, 1 parallel (same direction twice), 2 antiparallel,
 3 arc (both traversals in the stored direction).

@@ -754,32 +754,22 @@ class TestEnumerate:
         assert doc["p"] == 3
         assert doc["raw_total"] == 384
 
-    def test_jobs_do_not_change_output(self, tmp_path, capsys):
+    def test_jobs_do_not_change_output(self, tmp_path, capsys, monkeypatch):
+        # --jobs is accepted and ignored: no worker pool is started
+        import multiprocessing
+
+        def pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", pool)
         path = write(tmp_path, "k4.g", K4_TEXT)
         _, out1, _ = run_cli(capsys, "enumerate", path, "--p", "3", "--classes")
-        _, out2, _ = run_cli(
-            capsys, "enumerate", path, "--p", "3", "--classes", "--jobs", "2"
-        )
-        assert out1 == out2
-
-    def test_jobs_default_read_on_every_call(self, tmp_path, capsys, monkeypatch):
-        # DOUBLETRACE_JOBS is read on every call, so a process that changes
-        # it between calls gets the new value; --jobs overrides it
-        seen = []
-
-        def sweep(g, p, d, jobs):
-            seen.append(jobs)
-            return []
-
-        monkeypatch.setattr(cli, "_restriction_size_sweep", sweep)
-        path = write(tmp_path, "k4.g", K4_TEXT)
-        for value in ("3", "1", "2"):
-            monkeypatch.setenv("DOUBLETRACE_JOBS", value)
-            run_cli(capsys, "enumerate", path, "--p", "1")
-        monkeypatch.delenv("DOUBLETRACE_JOBS")
-        run_cli(capsys, "enumerate", path, "--p", "1")
-        run_cli(capsys, "enumerate", path, "--p", "1", "--jobs", "4")
-        assert seen == [3, 1, 2, 1, 4]
+        for jobs in ("2", "4"):
+            code, out2, _ = run_cli(
+                capsys, "enumerate", path, "--p", "3", "--classes", "--jobs", jobs
+            )
+            assert code == 0
+            assert out1 == out2
 
     def test_p_dstable_defaults_to_1_stable(self, tmp_path, capsys):
         # as everywhere else, dstable without --d means d = 1, not strong
@@ -808,6 +798,14 @@ class TestEnumerate:
         )
         assert code == 2
 
+    def test_p_out_of_range_exit_2(self, tmp_path, capsys):
+        path = write(tmp_path, "k4.g", K4_TEXT)
+        for p in ("-1", "7"):
+            code, out, err = run_cli(capsys, "enumerate", path, "--p", p)
+            assert code == 2
+            assert out == ""
+            assert "--p must be between 0 and 6" in err
+
     def test_p_needs_simple_host(self, tmp_path, capsys):
         path = write(tmp_path, "m.g", "n 2 multi\ne 0 1\ne 0 1\n")
         code, _, err = run_cli(capsys, "enumerate", path, "--p", "1")
@@ -829,9 +827,15 @@ class TestEnumerate:
             f"e {u} {v}\n" for u in range(5) for v in range(u + 1, 5)
         )
         path = write(tmp_path, "k5.g", k5)
-        code, doc, _ = run_json(capsys, "enumerate", path)
-        assert code == 3
-        assert doc["outcome"] == "unknown (capacity)"
+        for argv in ((), ("--p", "2")):
+            code, doc, _ = run_json(capsys, "enumerate", path, *argv)
+            assert code == 3
+            assert doc["outcome"] == "unknown (capacity)"
+        # past the gate, a disconnected host lists nothing
+        path = write(tmp_path, "two.g", "n 2\n")
+        code, doc, _ = run_json(capsys, "enumerate", path, "--p", "0")
+        assert code == 1
+        assert doc["count"] == 0
 
 
 # ---------------------------------------------------------------------------

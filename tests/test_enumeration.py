@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from doubletrace import cli, enumeration, search_backend
+from doubletrace import enumeration, search_backend
 from doubletrace.enumeration import (
     ORACLE_ENUM_MAX_EDGES,
     ORACLE_EXISTS_MAX_EDGES,
@@ -14,6 +14,7 @@ from doubletrace.enumeration import (
     count_raw_traces,
     enumerate_classes,
     enumerate_fixed_start,
+    enumerate_sweep,
     fixed_start_sequences,
     fold_classes,
     oracle_exists,
@@ -450,9 +451,9 @@ class TestOrbitWorkOncePerClass:
     def test_restriction_size_sweep(self, calls, emitted):
         prism = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                           (0, 3), (1, 4), (2, 5)])
-        classes = cli._restriction_size_sweep(prism, 3, None, 1)
+        classes = enumerate_sweep(prism, 3, None)
         assert sum(emitted) == len(classes)
-        assert len(calls) == len(classes)
+        assert not calls
         emitted.clear()
         every = sum(len(fixed_start_sequences(TraceQuery(
             prism, require_strong=True, restriction=RestrictionSet.of(c))))
@@ -460,31 +461,17 @@ class TestOrbitWorkOncePerClass:
         assert every > 10 * len(classes)
 
 
-def test_restriction_size_sweep_searches_one_set_per_orbit(monkeypatch):
+def test_restriction_size_sweep_equals_fold_of_every_set():
     prism = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                       (0, 3), (1, 4), (2, 5)])
-    edge_of = {frozenset(e): i for i, e in enumerate(prism.edges)}
-    auts = automorphisms(prism)
-    job = cli._sweep_job
-    searched = []
-    monkeypatch.setattr(cli, "_sweep_job", lambda item: searched.append(item[1]) or job(item))
-    for p in (2, 3, 4):
-        searched.clear()
-        classes = cli._restriction_size_sweep(prism, p, None, 1)
-        sets = [frozenset(c) for c in itertools.combinations(range(9), p)]
+    for d, p in itertools.product((None, 1), (2, 3, 4)):
+        classes = [(c.canonical, c.size) for c in enumerate_sweep(prism, p, d)]
         every = [
             fixed_start_sequences(TraceQuery(
-                prism, require_strong=True, restriction=RestrictionSet.of(anti)))
-            for anti in sets
+                prism, require_strong=d is None, d=d or 0, restriction=RestrictionSet.of(anti)))
+            for anti in itertools.combinations(range(9), p)
         ]
-        assert classes == fold_classes(prism, itertools.chain.from_iterable(every))
-        orbits = {
-            frozenset(frozenset(edge_of[frozenset(perm[v] for v in prism.edges[i])]
-                                for i in anti) for perm in auts)
-            for anti in sets
-        }
-        assert len(searched) == len(orbits) < len(sets)
-        assert {next(o for o in orbits if anti in o) for anti in searched} == orbits
+        assert classes == fold_classes(prism, itertools.chain.from_iterable(every)), (d, p)
 
 
 def closed_double_walks(host):
@@ -566,12 +553,16 @@ class TestBruteForceReferee:
                 got = [(c.canonical, c.size) for c in enumerate_classes(q)]
                 assert got == reference_classes(g, met, group), (g.edges, q)
                 queries += 1
-            for p in (1, 2):
-                if p <= g.edge_count:
-                    met = [w for w in strong if len(antiparallel_set(w)) == p]
-                    got = cli._restriction_size_sweep(g, p, None, 1)
-                    assert got == reference_classes(g, met, auts), (g.edges, p)
-                    queries += 1
+            # the sweeps search every restriction under the whole group,
+            # whose tables need not fix the restriction's labels
+            stable = [w for w in walks if is_d_stable(w, 1)]
+            for d, pool in ((None, strong), (1, stable)):
+                for p in (1, 2):
+                    if p <= g.edge_count:
+                        met = [w for w in pool if len(antiparallel_set(w)) == p]
+                        got = [(c.canonical, c.size) for c in enumerate_sweep(g, p, d)]
+                        assert got == reference_classes(g, met, auts), (g.edges, p, d)
+                        queries += 1
         assert queries >= 250
 
 
