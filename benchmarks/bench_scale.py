@@ -11,9 +11,12 @@ Families, each drawn from a seed fixed by its size:
 * ``G(n,2n)``: n = m/2 vertices, a random spanning tree plus random edges
   up to m edges;
 * ``cubic``: a random Hamiltonian cycle plus a random perfect matching
-  that repeats none of its edges, about m edges.
+  that repeats none of its edges, about m edges;
+* ``multi``: a G(n,2n) draw as above with m - 2k edges, k = m/10, plus k
+  copies of its edges and k loops at random vertices, m edges in all.
 
-Variants: ``strong`` and ``double`` on both families, ``double`` with E the
+Variants: ``strong`` and ``double`` on the first two families, ``strong``
+on ``multi``, ``double`` with E the
 T-join restriction that the free-direction build writes; ``dstable``
 (d = 1) on cubic graphs only, since a G(n,2n) draw has leaves and so no
 1-stable trace.  Each point times the decision and the build separately,
@@ -33,20 +36,34 @@ import time
 
 from doubletrace.construction import _t_join_certificate, construct
 from doubletrace.feasibility import decide
-from doubletrace.graphs import Graph, TraceQuery
+from doubletrace.graphs import Graph, Host, Multigraph, TraceQuery
 from doubletrace.traces import check_restriction, is_d_stable, is_strong, validate_double_trace
 
 
-def gnm(m: int) -> Graph:
-    rng = random.Random(f"G(n,2n):{m}")
-    n = m // 2
+def _tree_plus(rng: random.Random, n: int, m: int) -> list[tuple[int, int]]:
+    """A random spanning tree on n vertices plus random pairs, m distinct
+    edges in sorted order."""
     edges = {(rng.randrange(v), v) for v in range(1, n)}
     while len(edges) < m:
         a, b = sorted(rng.sample(range(n), 2))
         edges.add((a, b))
-    edges = sorted(edges)
+    return sorted(edges)
+
+
+def gnm(m: int) -> Graph:
+    rng = random.Random(f"G(n,2n):{m}")
+    edges = _tree_plus(rng, m // 2, m)
     rng.shuffle(edges)
-    return Graph(n, edges)
+    return Graph(m // 2, edges)
+
+
+def multi(m: int) -> Multigraph:
+    rng = random.Random(f"multi:{m}")
+    n, k = m // 2, m // 10
+    edges = _tree_plus(rng, n, m - 2 * k)
+    edges += rng.choices(edges, k=k) + [(v, v) for v in rng.choices(range(n), k=k)]
+    rng.shuffle(edges)
+    return Multigraph(n, edges)
 
 
 def cubic(m: int) -> Graph:
@@ -64,17 +81,18 @@ def cubic(m: int) -> Graph:
             return Graph(n, edges)
 
 
-FAMILIES = {"G(n,2n)": gnm, "cubic": cubic}
+FAMILIES = {"G(n,2n)": gnm, "cubic": cubic, "multi": multi}
 POINTS = [
     ("G(n,2n)", "strong"),
     ("G(n,2n)", "double"),
     ("cubic", "strong"),
     ("cubic", "dstable"),
     ("cubic", "double"),
+    ("multi", "strong"),
 ]
 
 
-def run_point(g: Graph, variant: str, repeat: int) -> dict:
+def run_point(g: Host, variant: str, repeat: int) -> dict:
     d = 1 if variant == "dstable" else None
     r = _t_join_certificate(g)[0] if variant == "double" else None
     decide_s, build_s = [], []

@@ -8,10 +8,10 @@ full contract/cut/lift/merge/repair pipeline for restricted strong traces.
 d-stable traces certified by a high-degree vertex run the same pipeline
 after splitting that vertex into two halves of at least d + 1 edges each.
 Strong traces with free directions run it on a T-join with a tree written
-down, not searched.  None of them searches for a trace: they are
-polynomial apart from the admissible-tree search that the verdict itself
-runs.  ``construct`` picks the builder for a query; only its route for
-strong and d-stable traces of multigraphs searches, with the bounded oracle.
+down, not searched, and take a multigraph's loops in afterwards.  None of
+them searches for a trace: they are polynomial apart from the
+admissible-tree search that the verdict itself runs.  ``construct`` picks
+the builder for a query, and no route of it searches.
 Every operation is a deterministic function of its inputs, so repeated runs
 reproduce the same step sequences byte for byte.
 """
@@ -28,7 +28,6 @@ from .errors import (
     PreconditionError,
     SurgeryInapplicableError,
 )
-from .enumeration import oracle_find
 from .feasibility import (
     FeasibilityAnswer,
     RestrictedAnalysis,
@@ -43,6 +42,7 @@ from .graphs import (
     EdgeFragment,
     Graph,
     Host,
+    Multigraph,
     SimplifiedGraph,
     TraceQuery,
     components_with_parity,
@@ -1152,7 +1152,7 @@ def _restricted_trace(
     return _assemble_restricted(host, analysis, cert, splits)
 
 
-def _t_join_certificate(g: Graph) -> tuple[RestrictionSet, FeasibilityAnswer]:
+def _t_join_certificate(g: Host) -> tuple[RestrictionSet, FeasibilityAnswer]:
     """An antiparallel set A that a strong trace of ``g`` can take, and the
     positive answer for it: an admissible tree of its quotient and the
     quotient analysis, all written down in O(m).
@@ -1168,6 +1168,10 @@ def _t_join_certificate(g: Graph) -> tuple[RestrictionSet, FeasibilityAnswer]:
     so it closes no cycle.  Kruskal takes that forest first, so every co-tree
     edge has a contracted end and every co-tree component is witnessed.  When
     E - A is empty, G is a tree and there is no co-tree.
+
+    Parallel edges change nothing: A lies inside the tree, so it holds at
+    most one edge of any parallel class, and the others are in E - A, which
+    contracts both ends.  ``g`` has no loops.
     """
     n = g.vertex_count
     up = [-1] * n  # each vertex's tree edge toward vertex 0
@@ -1205,11 +1209,32 @@ def _t_join_certificate(g: Graph) -> tuple[RestrictionSet, FeasibilityAnswer]:
     return r, FeasibilityAnswer(True, cert, analysis=analysis)
 
 
-def _free_direction_trace(g: Graph) -> DoubleTrace:
-    """A strong trace of ``g`` on its T-join, built without a tree search;
-    it is d-stable whenever every degree exceeds d."""
-    r, answer = _t_join_certificate(g)
-    return _restricted_trace(g, r, None, answer)
+def _free_direction_trace(host: Host) -> DoubleTrace:
+    """A strong trace of an undirected ``host``, built without a search; it
+    is d-stable whenever every vertex has more than d distinct incident
+    edges.
+
+    The loop-free edges take the trace of their T-join.  Each loop then
+    goes in as ``(l, 0), (l, 0)`` right after the first arrival at its
+    vertex, or back to back when there is no other edge.  A splice turns
+    the transition x -> y into x -> l -> l -> y, so the class holding x and
+    y gains l and stays one class.
+    """
+    kept = [i for i, (a, b) in enumerate(host.edges) if a != b]
+    if len(kept) == host.edge_count:
+        r, answer = _t_join_certificate(host)
+        return _restricted_trace(host, r, None, answer)
+    core = _free_direction_trace(Multigraph(host.vertex_count, [host.edges[i] for i in kept]))
+    loops: dict[int, list[Step]] = {}
+    for i, (a, b) in enumerate(host.edges):
+        if a == b:
+            loops.setdefault(a, []).extend(((i, 0), (i, 0)))
+    steps: list[Step] = []
+    for (e, f), v in zip(core.steps, _heads(core.host, core.steps)):
+        steps += [(kept[e], f), *loops.pop(v, ())]
+    for spliced in loops.values():  # a lone vertex: no arrival to follow
+        steps += spliced
+    return DoubleTrace._of(host, tuple(steps))
 
 
 def _restricted_double_trace(host: Host, r: RestrictionSet) -> DoubleTrace:
@@ -1236,9 +1261,9 @@ def construct(query: TraceQuery, answer: FeasibilityAnswer) -> DoubleTrace:
 
     The double question (neither strong nor d-stable, with E) walks E out
     and back and the rest on doubled Euler tours.  The restricted questions
-    run the contraction pipeline on the verdict's tree.  Free directions on
-    a simple graph take the T-join's certificate, which no tree search
-    finds; on a multigraph the bounded oracle searches.
+    run the contraction pipeline on the verdict's tree.  Free directions
+    take the T-join's certificate, which no tree search finds, with any
+    loops spliced in.  No route searches for a trace.
     """
     if not answer:
         raise PreconditionError("; ".join(answer.violated) or "no such trace exists")
@@ -1247,11 +1272,4 @@ def construct(query: TraceQuery, answer: FeasibilityAnswer) -> DoubleTrace:
         return _restricted_double_trace(host, r)
     if r is not None:
         return _restricted_trace(host, r, d or None, answer)
-    if isinstance(host, Graph):
-        return _free_direction_trace(host)
-    trace = oracle_find(query)
-    if trace is None:
-        raise InternalConsistencyError(
-            "verdict was positive but the exhaustive search found no trace"
-        )
-    return trace
+    return _free_direction_trace(host)

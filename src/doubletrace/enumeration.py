@@ -120,9 +120,14 @@ def enumerate_fixed_start(
     return [DoubleTrace(query.host, s) for s in fixed_start_sequences(query, max_edges=max_edges)]
 
 
-def _step_tables(host: Host, auts: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Per relabeling, the image of every step code ``2e + f``.  The identity
-    needs no edge lookup, so it alone applies to parallel edges and loops."""
+def _step_tables(host: Host, auts: tuple[tuple[int, ...], ...] | None = None) -> list[list[int]]:
+    """Per relabeling, by default each automorphism of a simple host or the
+    identity of any other, the image of every step code ``2e + f``.  The
+    identity needs no edge lookup, so it alone applies to parallel edges and
+    loops."""
+    if auts is None:
+        simple = isinstance(host, Graph)
+        auts = automorphisms(host) if simple else (tuple(range(host.vertex_count)),)
     m = host.edge_count
     lookup = {tuple(sorted(host.endpoints(i))): i for i in range(m)}
     tables = []
@@ -192,9 +197,6 @@ def fold_classes(
     among the images times the rotation period.  Orbit work is done once per
     class; its members that start with edge 0 are then one lookup away.
     """
-    if auts is None:
-        simple = isinstance(host, Graph)
-        auts = automorphisms(host) if simple else (tuple(range(host.vertex_count)),)
     tables = _step_tables(host, auts)
     maps = [(False, t) for t in tables]
     if not host.arcs:
@@ -263,16 +265,18 @@ def enumerate_classes(
     """Group all satisfying traces by rotation, reversal and relabeling.
 
     On a simple host the relabeling group is its automorphism group; on a
-    multigraph or a mixed host it is the identity.  Class sizes count raw
-    sequences, so they sum to the raw count.
+    multigraph or a mixed host it is the identity.  The kernel emits each
+    class's least member on hosts without arcs; a host with arcs has its
+    fixed-start sequences folded.  Class sizes count raw sequences, so they
+    sum to the raw count.
     """
     host = query.host
-    if not isinstance(host, Graph):
-        # every member, not only the least: on hosts with loops the kernel
-        # misses sequences, and the fold finds a class from any member
+    if host.arcs:
+        # reversal is no symmetry here, and the lex-leader mode assumes it
+        # is: fold every fixed-start sequence instead
         sequences = fixed_start_sequences(query, max_edges=max_edges)
         return [EquivalenceClass(canon, size) for canon, size in fold_classes(host, sequences)]
-    tables = _step_tables(host, automorphisms(host))
+    tables = _step_tables(host)
     if query.restriction is not None:
         tables = _fixing(tables, query.restriction.antiparallel_edges)
     # the kernel emits only each class's least member, with its size

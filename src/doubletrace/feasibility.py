@@ -552,33 +552,6 @@ def _balanced_orientation(host: Host, edges: Sequence[int]) -> Optional[list[int
     return tails
 
 
-def mixed_euler_feasible(b: MixedGraph) -> bool:
-    """Whether a closed walk can traverse every undirected edge and arc
-    exactly once, respecting arc directions."""
-    _reject_disconnected(b)
-    return _balanced_orientation(b, range(b.edge_count)) is not None
-
-
-def mixed_cut_condition(b: MixedGraph, *, max_vertices: int = 8) -> bool:
-    """All-subsets formulation: for every vertex set X the crossing count
-    e(X) minus the arc imbalance across X must be non-negative and even.
-    Exponential; verification use only."""
-    _reject_disconnected(b)
-    n = b.vertex_count
-    if n > max_vertices:
-        raise CapacityError(f"{n} vertices exceeds the subset-check limit {max_vertices}")
-    for mask in range(1 << n):
-        inside = [v for v in range(n) if mask >> v & 1]
-        inset = set(inside)
-        e_cross = sum(1 for a, c in b.edges if (a in inset) != (c in inset))
-        a_out = sum(1 for t, h in b.arcs if t in inset and h not in inset)
-        a_in = sum(1 for t, h in b.arcs if h in inset and t not in inset)
-        f = e_cross - abs(a_out - a_in)
-        if f < 0 or f % 2 != 0:
-            return False
-    return True
-
-
 def _unbalanced_fragment(b: MixedGraph, eprime: Collection[int]) -> Optional[str]:
     """The first component, by least vertex, of the eprime undirected edges
     plus every arc that no direction-respecting Euler tour covers."""

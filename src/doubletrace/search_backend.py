@@ -26,7 +26,13 @@ an earlier link.  The start vertex is no exception: its first departure
 stays an open end until the closing link.  A component's open ends are
 even in number, so a loop whose second arrival is still pending leaves a
 second open end in its component, on an edge not yet used twice: "no open
-end" and "every edge used twice" pick the same components.
+end" and "every edge used twice" pick the same components.  A U-turn, the
+step back along the non-loop edge just arrived by, links that edge's slot
+to itself and uses both its ends, so {e} freezes at once and the move is
+skipped without a union when a component must hold more than one edge.  A
+loop walked twice in a row is no U-turn: the link (e, e) takes two of its
+slot's four ends, and the second arrival's end stays open for the next
+link, so nothing freezes.
 
 Symmetry breaking (enumeration mode given ``tables``, the step-code maps
 ``2e + f`` of a relabeling group; each also acts read backwards with codes
@@ -252,8 +258,8 @@ def run(
                 elif lbl == ANTI:
                     if f == fflag[e]:
                         continue
-                if prev_edge == e and need[pos] > 1:
-                    continue  # U-turn: this visit freezes {e} as a component
+                if prev_edge == e and w != pos and need[pos] > 1:
+                    continue  # U-turn on a non-loop: the link (e, e) freezes {e}
                 shift = second
             else:
                 continue

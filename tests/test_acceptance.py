@@ -41,12 +41,7 @@ from doubletrace.enumeration import (
     oracle_find,
 )
 from doubletrace.errors import CapacityError
-from doubletrace.feasibility import (
-    _restricted_analysis,
-    find_admissible_tree,
-    mixed_cut_condition,
-    mixed_euler_feasible,
-)
+from doubletrace.feasibility import _restricted_analysis, find_admissible_tree
 from doubletrace.graphs import Graph, MixedGraph, Multigraph, automorphisms, is_connected
 from doubletrace.traces import (
     ClosedWalk,
@@ -60,7 +55,7 @@ from doubletrace.traces import (
     validate_double_trace,
 )
 
-from test_feasibility import ask, build
+from test_feasibility import ask, build, mixed_cut_condition, mixed_euler_feasible
 
 RESULTS: dict[int, bool] = {}
 

@@ -5,7 +5,7 @@ import ast
 from pathlib import Path
 
 import doubletrace
-from doubletrace import cli
+from doubletrace import cli, construction
 
 
 def test_every_export_resolves():
@@ -26,3 +26,14 @@ def test_cli_imports_no_private_decider_or_builder():
     assert ("feasibility", "decide") in checked
     assert ("construction", "construct") in checked
     assert [f"{module}.{name}" for module, name in checked if name.startswith("_")] == []
+
+
+def test_construction_imports_no_oracle():
+    # no route of construct searches, so the builders never reach the kernel
+    modules = [
+        node.module
+        for node in ast.walk(ast.parse(Path(construction.__file__).read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module
+    ]
+    assert "feasibility" in modules
+    assert not {"enumeration", "search_backend"} & set(modules)

@@ -580,6 +580,65 @@ class TestRoutedVariants:
         assert 0 < positives < count
 
 
+class TestFreeDirections:
+    """``strong`` and ``dstable`` on every small host: the verdict is true
+    for ``strong`` and the degree gate on distinct incident edges for
+    ``dstable``, and every positive builds without the kernel, loops and
+    parallel edges included."""
+
+    def cross_check(self, monkeypatch, hosts):
+        def refuse(*args, **kwargs):
+            raise AssertionError("strong or dstable construct reached the kernel")
+
+        monkeypatch.setattr(search_backend, "run", refuse)
+        count = positives = 0
+        for host, d in itertools.product(hosts, (None, 1, 2)):
+            count += 1
+            q = TraceQuery.for_variant(host, "strong" if d is None else "dstable", d, None)
+            answer = decide(q)
+            verdict = d is None or all(
+                not 0 < len(host.incident(v)) <= d for v in range(host.vertex_count)
+            )
+            assert answer.verdict == verdict, (host, d)
+            if not verdict:
+                continue
+            positives += 1
+            walk = construct(q, answer)
+            assert validate_double_trace(walk).ok, (host, d)
+            assert is_strong(walk) if d is None else is_d_stable(walk, d), (host, d)
+        return count, positives
+
+    def test_simple_graphs(self, monkeypatch):
+        count, positives = self.cross_check(monkeypatch, small_simple_graphs())
+        assert count == 3 * 772
+        assert 0 < positives < count
+
+    def test_multigraphs(self, monkeypatch):
+        count, positives = self.cross_check(monkeypatch, small_multigraphs())
+        assert count == 3 * 237
+        assert 0 < positives < count
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "n 3 multi\ne 0 1\ne 0 2\ne 2 2\n",
+            "n 2 multi\ne 0 0\ne 1 1\ne 0 1\n",
+            # 12 edges, past the exhaustive search's limit of 10
+            "n 4 multi\ne 0 1\ne 1 2\ne 2 3\ne 3 0\ne 0 2\ne 0 2\ne 1 3\n"
+            "e 0 0\ne 1 1\ne 2 2\ne 2 2\ne 3 3\n",
+        ],
+        ids=["pendant-loop", "two-loops", "twelve-edges"],
+    )
+    def test_loops_build_strong(self, tmp_path, capsys, text):
+        gpath = write(tmp_path, "g.g", text)
+        code, out, err = run_cli(capsys, "construct", gpath, "--variant", "strong")
+        assert code == 0, err
+        tpath = write(tmp_path, "t.json", out)
+        code, doc, _ = run_json(capsys, "classify", tpath, gpath)
+        assert code == 0
+        assert (doc["valid"], doc["strong"]) == (True, True)
+
+
 class TestOneTreeSearch:
     """``construct`` runs the admissible-tree search once per decided query
     and builds from that verdict's tree.  The one exception is a d-stable

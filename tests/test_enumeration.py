@@ -29,6 +29,7 @@ from doubletrace.graphs import (
     automorphisms,
     complete_graph,
     cycle_graph,
+    is_connected,
     path_graph,
 )
 from doubletrace.traces import (
@@ -201,8 +202,9 @@ class TestEquivalenceClasses:
             assert check_restriction(DoubleTrace(C3, c.canonical), r)
 
     def test_multigraph_and_mixed_hosts_fold_every_sequence(self):
-        # the identity is their only relabeling, and every fixed-start
-        # sequence is folded, not only each class's least one
+        # the identity is their only relabeling; the loop's lex-leaders and
+        # the mixed host's folded listing both equal the fold of every
+        # fixed-start sequence
         mixed = MixedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], [(1, 3)])
         queries = [
             TraceQuery(LOOP),
@@ -257,10 +259,13 @@ def reference_classes(host, traces, auts):
 
 
 def reference_preserving(host, auts, anti):
+    """The relabelings that map ``anti`` onto itself; the identity always
+    does, also on parallel edges and loops, where the lookup is ambiguous."""
     lookup = {frozenset(host.endpoints(i)): i for i in range(host.edge_count)}
     return tuple(
         p for p in auts
-        if {lookup[frozenset(p[v] for v in host.endpoints(i))] for i in anti} == set(anti)
+        if p == tuple(range(len(p)))
+        or {lookup[frozenset(p[v] for v in host.endpoints(i))] for i in anti} == set(anti)
     )
 
 
@@ -476,7 +481,7 @@ def test_restriction_size_sweep_equals_fold_of_every_set():
 
 def closed_double_walks(host):
     """Every closed walk from step (0, 0) that uses each edge exactly twice,
-    listed with no pruning at all."""
+    both flags tried on a loop, listed with no pruning at all."""
     m = host.edge_count
     use = [0] * m
     walk = [(0, 0)]
@@ -493,9 +498,10 @@ def closed_double_walks(host):
             a, b = host.endpoints(e)
             if use[e] < 2 and v in (a, b):
                 use[e] += 1
-                walk.append((e, 0 if v == a else 1))
-                extend(b if v == a else a)
-                walk.pop()
+                for f in (0, 1) if a == b else (0 if v == a else 1,):
+                    walk.append((e, f))
+                    extend(b if v == a else a)
+                    walk.pop()
                 use[e] -= 1
 
     extend(first)
@@ -529,30 +535,36 @@ class TestBruteForceReferee:
             rng.shuffle(listed)
             yield rng, Graph(n, [(b, a) if rng.random() < 0.5 else (a, b) for a, b in listed])
 
+    def check_listings(self, rng, g, walks, auts):
+        """Strong, 1- and 2-stable listings and two restricted ones, against
+        whole orbit sets under the relabelings that fix each restriction."""
+        strong = [w for w in walks if is_strong(w)]
+        listings = [
+            (TraceQuery(g, require_strong=True), strong),
+            (TraceQuery(g, d=1), [w for w in walks if is_d_stable(w, 1)]),
+            (TraceQuery(g, d=2), [w for w in walks if is_d_stable(w, 2)]),
+        ]
+        # restrictions drawn from walks that satisfy them, so most are met
+        for pool, require_strong in ((strong, True), (walks, False)):
+            anti = antiparallel_set(rng.choice(pool or walks))
+            r = RestrictionSet.of(anti)
+            met = [w for w in pool if check_restriction(w, r)]
+            listings.append((TraceQuery(g, require_strong=require_strong, restriction=r), met))
+        for q, met in listings:
+            group = auts
+            if q.restriction is not None:
+                group = reference_preserving(g, auts, q.restriction.antiparallel_edges)
+            got = [(c.canonical, c.size) for c in enumerate_classes(q)]
+            assert got == reference_classes(g, met, group), (g.edges, q)
+        return len(listings)
+
     def test_classes_and_sweeps(self):
         queries = 0
         for rng, g in self.hosts():
             walks = closed_double_walks(g)
             auts = automorphisms(g)
             strong = [w for w in walks if is_strong(w)]
-            listings = [
-                (TraceQuery(g, require_strong=True), strong),
-                (TraceQuery(g, d=1), [w for w in walks if is_d_stable(w, 1)]),
-                (TraceQuery(g, d=2), [w for w in walks if is_d_stable(w, 2)]),
-            ]
-            # restrictions drawn from walks that satisfy them, so most are met
-            for pool, require_strong in ((strong, True), (walks, False)):
-                anti = antiparallel_set(rng.choice(pool or walks))
-                r = RestrictionSet.of(anti)
-                met = [w for w in pool if check_restriction(w, r)]
-                listings.append((TraceQuery(g, require_strong=require_strong, restriction=r), met))
-            for q, met in listings:
-                group = auts
-                if q.restriction is not None:
-                    group = reference_preserving(g, auts, q.restriction.antiparallel_edges)
-                got = [(c.canonical, c.size) for c in enumerate_classes(q)]
-                assert got == reference_classes(g, met, group), (g.edges, q)
-                queries += 1
+            queries += self.check_listings(rng, g, walks, auts)
             # the sweeps search every restriction under the whole group,
             # whose tables need not fix the restriction's labels
             stable = [w for w in walks if is_d_stable(w, 1)]
@@ -564,6 +576,28 @@ class TestBruteForceReferee:
                         assert got == reference_classes(g, met, auts), (g.edges, p, d)
                         queries += 1
         assert queries >= 250
+
+    def multigraphs(self):
+        rng = random.Random(23)
+        count = 0
+        while count < 60:
+            n = rng.randint(1, 4)
+            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(n, 4))]
+            host = Multigraph(n, edges)
+            if is_connected(host) and sum(a == b for a, b in edges) <= 2:
+                count += 1
+                yield rng, host
+
+    def test_multigraph_classes(self):
+        # the identity is a multigraph's only relabeling
+        queries = loops = parallels = 0
+        for rng, h in self.multigraphs():
+            identity = (tuple(range(h.vertex_count)),)
+            queries += self.check_listings(rng, h, closed_double_walks(h), identity)
+            loops += any(a == b for a, b in h.edges)
+            parallels += len({tuple(sorted(e)) for e in h.edges}) < len(h.edges)
+        assert queries == 300
+        assert min(loops, parallels) >= 20
 
 
 class TestCapacity:

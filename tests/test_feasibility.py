@@ -13,11 +13,11 @@ from doubletrace.construction import construct
 from doubletrace.feasibility import (
     SpanningTreeCertificate,
     _as_predicate,
+    _balanced_orientation,
+    _reject_disconnected,
     _restricted_analysis,
     decide,
     find_admissible_tree,
-    mixed_cut_condition,
-    mixed_euler_feasible,
 )
 from doubletrace.graphs import (
     Graph,
@@ -52,6 +52,32 @@ def build(host, variant, d=None, r=None):
     """The trace behind the verdict on one named variant."""
     q = TraceQuery.for_variant(host, variant, d, r)
     return construct(q, decide(q))
+
+
+def mixed_euler_feasible(b):
+    """Whether a closed walk can traverse every undirected edge and arc
+    exactly once, respecting arc directions: one balanced orientation."""
+    _reject_disconnected(b)
+    return _balanced_orientation(b, range(b.edge_count)) is not None
+
+
+def mixed_cut_condition(b, *, max_vertices=8):
+    """All-subsets formulation: for every vertex set X the crossing count
+    e(X) minus the arc imbalance across X must be non-negative and even.
+    Exponential, so it refuses more than ``max_vertices`` vertices."""
+    _reject_disconnected(b)
+    n = b.vertex_count
+    if n > max_vertices:
+        raise CapacityError(f"{n} vertices exceeds the subset-check limit {max_vertices}")
+    for mask in range(1 << n):
+        inset = {v for v in range(n) if mask >> v & 1}
+        e_cross = sum(1 for a, c in b.edges if (a in inset) != (c in inset))
+        a_out = sum(1 for t, h in b.arcs if t in inset and h not in inset)
+        a_in = sum(1 for t, h in b.arcs if h in inset and t not in inset)
+        f = e_cross - abs(a_out - a_in)
+        if f < 0 or f % 2 != 0:
+            return False
+    return True
 
 
 def icosahedron():

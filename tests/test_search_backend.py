@@ -1,5 +1,7 @@
-"""The search kernel against its previous implementation.
+"""The search kernel against brute force and its previous implementation.
 
+``brute_force_walks`` lists every closed double walk of a small host with
+no pruning, and the kernel must find exactly the walks each query accepts.
 ``reference_run`` is the kernel before transition components were tracked
 incrementally.  Both must return the same sequences in the same order in
 every mode, on every small multigraph and label assignment and on seeded
@@ -20,6 +22,7 @@ from doubletrace.search_backend import (
     MODE_EXISTS,
     PAR,
 )
+from doubletrace.traces import DoubleTrace, is_d_stable, is_strong
 
 MODES = (MODE_EXISTS, MODE_COUNT_RAW, MODE_ENUM_FIXED)
 # (require_strong, d_max): plain, strong, 1-stable, 2-stable
@@ -192,8 +195,9 @@ def reference_run(
                         continue
                     if lbl == ANTI and f == fflag[e]:
                         continue
-                    if check_local and prev_edge == e:
-                        # U-turn: this visit freezes {e} as a component
+                    if check_local and prev_edge == e and a != b:
+                        # U-turn: this visit freezes {e} as a component;
+                        # a loop walked twice in a row freezes nothing
                         if d_max > 0 or inc_count[pos] > 1:
                             continue
                 w = a if a == b else (b if f == 0 else a)
@@ -279,6 +283,17 @@ def reference_run(
     return list(found_steps[0]) if found_steps else None
 
 
+def connected_multigraphs(max_vertices, max_edges):
+    """Every connected multigraph on {0..n-1}, n <= max_vertices, with 1 to
+    max_edges edges, loops and parallel edges included, in sorted order."""
+    for n in range(1, max_vertices + 1):
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+        for m in range(1, max_edges + 1):
+            for edges in itertools.combinations_with_replacement(pairs, m):
+                if is_connected(Multigraph(n, edges)):
+                    yield n, edges
+
+
 def assert_same_runs(n, edges, labels):
     ea = [a for a, _ in edges]
     eb = [b for _, b in edges]
@@ -295,15 +310,10 @@ def assert_same_runs(n, edges, labels):
 class TestMatchesReference:
     def test_every_small_multigraph_and_labeling(self):
         count = found = 0
-        for n in range(1, 4):
-            pairs = [(a, b) for a in range(n) for b in range(a, n)]
-            for m in range(1, 4):
-                for edges in itertools.combinations_with_replacement(pairs, m):
-                    if not is_connected(Multigraph(n, edges)):
-                        continue
-                    for labels in itertools.product((FREE, PAR, ANTI, ARC), repeat=m):
-                        count += 1
-                        found += assert_same_runs(n, edges, labels)
+        for n, edges in connected_multigraphs(3, 3):
+            for labels in itertools.product((FREE, PAR, ANTI, ARC), repeat=len(edges)):
+                count += 1
+                found += assert_same_runs(n, edges, labels)
         assert count == 1592
         assert 0 < found < count * len(CONSTRAINTS) * len(MODES)
 
@@ -323,3 +333,84 @@ class TestMatchesReference:
             arcs += ARC in labels
         assert found > 0
         assert min(loops, parallels, arcs) > 10
+
+
+def brute_force_walks(n, edges):
+    """Every closed walk from step (0, 0) that uses each edge exactly twice,
+    both flags tried on a loop, with no pruning.  Each comes with its per-edge
+    "same flag twice" labels, whether it is strong, and the largest d for
+    which it is d-stable, up to 2."""
+    host = Multigraph(n, edges)
+    m = len(edges)
+    use = [0] * m
+    use[0] = 1
+    walk = [(0, 0)]
+    out = []
+
+    def extend(v):
+        if len(walk) == 2 * m:
+            if v == edges[0][0]:
+                out.append(tuple(walk))
+            return
+        for e, (a, b) in enumerate(edges):
+            if use[e] < 2 and v in (a, b):
+                use[e] += 1
+                for f in (0, 1) if a == b else (0 if v == a else 1,):
+                    walk.append((e, f))
+                    extend(b if v == a else a)
+                    walk.pop()
+                use[e] -= 1
+
+    extend(edges[0][1])
+    judged = []
+    for steps in out:
+        flags = [[] for _ in range(m)]
+        for e, f in steps:
+            flags[e].append(f)
+        trace = DoubleTrace(host, steps)
+        stable = next((d for d in (0, 1) if not is_d_stable(trace, d + 1)), 2)
+        judged.append((steps, tuple(f[0] == f[1] for f in flags), is_strong(trace), stable))
+    return judged
+
+
+def accepted(judged, labels, strong, d):
+    """The walks of ``brute_force_walks`` that a query accepts."""
+    want = {PAR: True, ANTI: False}
+    return {
+        steps
+        for steps, same, is_str, stable in judged
+        if stable >= d
+        and (is_str or not strong)
+        and all(lbl == FREE or want[lbl] == s for lbl, s in zip(labels, same))
+    }
+
+
+class TestMatchesBruteForce:
+    def test_every_small_multigraph(self):
+        """Every connected multigraph with n <= 3 and m <= 3, all edges free
+        or each parallel or antiparallel, plain, strong, 1- and 2-stable: the
+        enumeration is the accepted set, exists finds a member exactly when
+        one is accepted, and the raw count is the accepted set times 2m (each
+        raw sequence has two rotations starting on edge 0, and reversal pairs
+        the flag-1 starts with the flag-0 ones)."""
+        queries = with_loops = 0
+        for n, edges in connected_multigraphs(3, 3):
+            m = len(edges)
+            judged = brute_force_walks(n, edges)
+            ea = [a for a, _ in edges]
+            eb = [b for _, b in edges]
+            labelings = [(FREE,) * m, *itertools.product((PAR, ANTI), repeat=m)]
+            for labels, (strong, d) in itertools.product(labelings, CONSTRAINTS):
+                want = accepted(judged, labels, strong, d)
+                key = (n, edges, labels, strong, d)
+                listed = search_backend.run(n, ea, eb, list(labels), strong, d, MODE_ENUM_FIXED)
+                assert len(set(listed)) == len(listed) and set(listed) == want, key
+                found = search_backend.run(n, ea, eb, list(labels), strong, d, MODE_EXISTS)
+                assert (found is None) == (not want), key
+                assert found is None or tuple(found) in want, key
+                count = search_backend.run(n, ea, eb, list(labels), strong, d, MODE_COUNT_RAW)
+                assert count == 2 * m * len(want), key
+                queries += 1
+                with_loops += any(a == b for a, b in edges) and bool(want)
+        assert queries == 992
+        assert with_loops > 100
