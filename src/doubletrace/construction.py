@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (
     InputError,
@@ -30,9 +30,9 @@ from .errors import (
 )
 from .feasibility import (
     FeasibilityAnswer,
-    RestrictedAnalysis,
     SpanningTreeCertificate,
     _balanced_orientation,
+    _quotient_witnesses,
     _restricted_analysis,
     find_admissible_tree,
 )
@@ -43,7 +43,6 @@ from .graphs import (
     Graph,
     Host,
     Multigraph,
-    SimplifiedGraph,
     TraceQuery,
     components_with_parity,
     induced_edge_subgraph,
@@ -491,7 +490,7 @@ def antiparallel_strong_trace(
     return DoubleTrace._of(g, _one_face_walk(g, cert))
 
 
-def _splittable_edge(h: Graph, comp, v: int, attach: Sequence[int]) -> int:
+def _splittable_edge(h: Host, comp, v: int, attach: Sequence[int]) -> int:
     # an attachment edge whose removal leaves only even pieces; one always
     # exists because an all-bridges vertex in an odd component would force
     # an even edge count
@@ -510,16 +509,17 @@ def _splittable_edge(h: Graph, comp, v: int, attach: Sequence[int]) -> int:
 def _split_vertex(
     edges: list[tuple[int, int]], v: int, copy: int, moved
 ) -> None:
+    # a moved loop keeps one end at v and joins the two halves
     for i in moved:
         a, b = edges[i]
-        edges[i] = (copy if a == v else a, copy if b == v else b)
+        edges[i] = (copy, b) if a == v else (a, copy)
 
 
 Split = tuple[int, frozenset[int], int]
 
 
 def antiparallel_double_trace_with_repetitions_in(
-    g: Graph,
+    g: Host,
     witness_set,
     cert: SpanningTreeCertificate,
     splits: Sequence[Split] = (),
@@ -559,7 +559,7 @@ def antiparallel_double_trace_with_repetitions_in(
             _split_vertex(edges, v, n, moved)
             n += 1
             tree.add(f)
-        h = Graph(n, tuple(edges))
+        h = Multigraph(n, tuple(edges))
         report = _co_tree_report(h, tree, witness)
     # splitting one odd component touches no other, so all of them are
     # split on one graph, and the split graph is built once
@@ -572,7 +572,7 @@ def antiparallel_double_trace_with_repetitions_in(
         n += 1
         tree.add(e)
     if odd:
-        h = Graph(n, tuple(edges))
+        h = Multigraph(n, tuple(edges))
         report = _co_tree_report(h, tree, witness)
     # every co-tree component is even now, and the one-face walk checks
     # that its single face covers every edge twice
@@ -581,7 +581,7 @@ def antiparallel_double_trace_with_repetitions_in(
     return DoubleTrace._of(g, steps)
 
 
-def _co_tree_report(h: Graph, tree, witness) -> ComponentReport:
+def _co_tree_report(h: Host, tree, witness) -> ComponentReport:
     co = [i for i in range(h.edge_count) if i not in tree]
     return components_with_parity(induced_edge_subgraph(h, co), witness)
 
@@ -619,7 +619,7 @@ def _co_tree_report(h: Graph, tree, witness) -> ComponentReport:
 # searches for a trace instead.
 
 
-def _tree_branches(h: Graph, tree, v: int) -> dict[int, int]:
+def _tree_branches(h: Host, tree, v: int) -> dict[int, int]:
     """For every vertex but v, the tree edge at v that starts the tree path
     from v to it."""
     adj: dict[int, list[int]] = {}
@@ -644,7 +644,7 @@ def _tree_branches(h: Graph, tree, v: int) -> dict[int, int]:
     return branch
 
 
-def _lobes(h: Graph, rest, v: int) -> Optional[list[tuple[list[int], int]]]:
+def _lobes(h: Host, rest, v: int) -> Optional[list[tuple[list[int], int]]]:
     """The pieces of ``rest`` through v, with v cut apart, as (their edges
     at v, parity of their size); None when a piece away from v is odd."""
     parent: dict[int, int] = {}
@@ -726,7 +726,7 @@ def _balance(
 
 
 def _balanced_split(
-    h: Graph, tree, comp_edges, v: int, d: int
+    h: Host, tree, comp_edges, v: int, d: int
 ) -> Optional[tuple[frozenset[int], int]]:
     """A set of edges at v to move to a new copy, and the co-tree edge of
     the odd component ``comp_edges`` to add to the tree, meeting (1)-(3)
@@ -768,10 +768,10 @@ def _balanced_split(
 
 
 def _degree_bar_splits(
-    h: Graph,
+    h: Host,
     cert: SpanningTreeCertificate,
-    witness: Callable[[int], bool],
-    contracted: Callable[[int], bool],
+    witness: set[int],
+    contracted: set[int],
     d: int,
 ) -> Optional[list[Split]]:
     """Splits for every odd co-tree component without a contracted vertex,
@@ -786,10 +786,10 @@ def _degree_bar_splits(
     tree = set(cert.tree_edges)
     splits: list[Split] = []
     for comp in cert.co_tree_report:
-        if not comp.odd or any(contracted(u) for u in comp.vertices):
+        if not comp.odd or not contracted.isdisjoint(comp.vertices):
             continue
-        cur = Graph(n, tuple(edges))
-        for v in sorted(u for u in comp.vertices if witness(u)):
+        cur = Multigraph(n, tuple(edges))
+        for v in sorted(comp.vertices & witness):
             found = _balanced_split(cur, tree, comp.edges, v, d)
             if found is not None:
                 break
@@ -804,10 +804,10 @@ def _degree_bar_splits(
 
 
 def _degree_bar_certificate(
-    h: Graph,
+    h: Host,
     cert: SpanningTreeCertificate,
-    witness: Callable[[int], bool],
-    contracted: Callable[[int], bool],
+    witness: set[int],
+    contracted: set[int],
     d: int,
     host: Host,
 ) -> tuple[SpanningTreeCertificate, list[Split]]:
@@ -885,52 +885,6 @@ class WalkFamily:
             if w.steps and w.head(len(w.steps) - 1) != w.tail(0):
                 out.append(f"closed walk {k} does not close")
         return tuple(out)
-
-
-def _project_simplified(
-    simp: SimplifiedGraph, steps: tuple[Step, ...]
-) -> tuple[Step, ...]:
-    """Collapse subdivision paths of a simplified-graph walk back to
-    multigraph steps."""
-    if simp.is_identity:
-        return steps
-    owner: dict[int, int] = {}
-    for qe, path in enumerate(simp.edge_paths):
-        for se in path:
-            owner[se] = qe
-    original = simp.source.vertex_count
-    L = len(steps)
-    start = next(
-        t for t in range(L) if step_tail(simp.graph, steps[t]) < original
-    )
-    rot = steps[start:] + steps[:start]
-    out: list[Step] = []
-    i = 0
-    while i < L:
-        se, f = rot[i]
-        qe = owner[se]
-        path = simp.edge_paths[qe]
-        if len(path) == 1:
-            out.append((qe, f))
-            i += 1
-            continue
-        if se == path[0] and f == 0:
-            expected = [(p, 0) for p in path]
-            flag = 0
-        elif se == path[-1] and f == 1:
-            expected = [(p, 1) for p in reversed(path)]
-            flag = 1
-        else:
-            raise InternalConsistencyError(
-                f"subdivided edge {qe} entered mid-path at position {i}"
-            )
-        if i + len(path) > L or list(rot[i : i + len(path)]) != expected:
-            raise InternalConsistencyError(
-                f"subdivided edge {qe} traversed incoherently at position {i}"
-            )
-        out.append((qe, flag))
-        i += len(path)
-    return tuple(out)
 
 
 def _cut_quotient_walk(
@@ -1070,7 +1024,7 @@ def _family_counts_ok(family: WalkFamily, cmap: ContractionMap) -> None:
 
 def _assemble_restricted(
     host: Host,
-    analysis: RestrictedAnalysis,
+    cmap: ContractionMap,
     cert: SpanningTreeCertificate,
     splits: Sequence[Split] = (),
 ) -> DoubleTrace:
@@ -1081,11 +1035,9 @@ def _assemble_restricted(
     transitions of the quotient trace: one class, or two at a degree-bar
     split.  With no fragment the lifted quotient trace is the answer.
     """
-    cmap, simp = analysis.contraction, analysis.simplified
-    quotient_walk = antiparallel_double_trace_with_repetitions_in(
-        simp.graph, cmap.eprime_vertices, cert, splits
-    )
-    q_steps = _project_simplified(simp, quotient_walk.steps)
+    q_steps = antiparallel_double_trace_with_repetitions_in(
+        cmap.quotient, _quotient_witnesses(cmap, None), cert, splits
+    ).steps
     if len(cmap.edge_origin) == host.edge_count:
         return DoubleTrace._of(host, tuple([(cmap.edge_origin[qe], f) for qe, f in q_steps]))
     # the contraction found the fragment's components: each is the set of
@@ -1118,38 +1070,38 @@ def _restricted_trace(
     answer: FeasibilityAnswer,
 ) -> DoubleTrace:
     """The restricted strong (``d`` None) or d-stable trace behind
-    ``answer``, the positive verdict on the same query; its quotient
-    analysis is used as it is, so nothing is decided, contracted or
-    simplified again.
+    ``answer``, the positive verdict on the same query; its contraction and
+    its tree on the quotient are used as they are, so nothing is decided or
+    contracted again.
 
     An empty restriction yields the all-parallel construction.  Otherwise
     the verdict's tree drives the contraction pipeline, which finishes with
     repetition surgery; that always applies, because every leftover
     repetition sits at a vertex carrying a same-direction edge.  A d-stable
-    tree whose odd co-tree components all hold a contracted vertex needs
-    nothing more, and the output is d-stable thanks to the minimum-degree
-    gate.  Otherwise each component excused only by a vertex of quotient
-    degree >= 2d + 2 is split at that vertex into two halves of at least
-    d + 1 edges each (the split lemma above): the vertex keeps its two
-    classes, every other vertex ends with one.
+    tree whose odd co-tree components all hold a contracted or looped
+    vertex needs nothing more, and the output is d-stable thanks to the
+    minimum-degree gate.  Otherwise each component excused only by a vertex
+    of quotient degree >= 2d + 2 is split at that vertex into two halves of
+    at least d + 1 edges each (the split lemma above): the vertex keeps its
+    two classes, every other vertex ends with one.
     """
     if not r.antiparallel_edges:
         return parallel_strong_trace(host)
-    analysis = answer.analysis
+    cmap = answer.analysis
     cert, splits = answer.certificate, []
-    contracted = analysis.witness_on_simplified()
+    contracted = _quotient_witnesses(cmap, None)
     if d is not None and any(
-        c.odd and not any(map(contracted, c.vertices)) for c in cert.co_tree_report
+        c.odd and contracted.isdisjoint(c.vertices) for c in cert.co_tree_report
     ):
         cert, splits = _degree_bar_certificate(
-            analysis.simplified.graph,
+            cmap.quotient,
             cert,
-            analysis.witness_on_simplified(2 * d + 2),
+            _quotient_witnesses(cmap, 2 * d + 2),
             contracted,
             d,
             host,
         )
-    return _assemble_restricted(host, analysis, cert, splits)
+    return _assemble_restricted(host, cmap, cert, splits)
 
 
 def _t_join_certificate(g: Host) -> tuple[RestrictionSet, FeasibilityAnswer]:
@@ -1161,13 +1113,12 @@ def _t_join_certificate(g: Host) -> tuple[RestrictionSet, FeasibilityAnswer]:
     from vertex 0 (Edmonds-Johnson 1973): peeling the leaves, a tree edge
     joins A when the subtree it cuts off holds an odd number of odd vertices,
     so every degree outside A is even.  The quotient G/(E - A) has exactly A
-    as its edges.  On its simplified graph the edges without a contracted end
-    form a forest.  Those between uncontracted vertices lie in A, which is
-    acyclic, as an uncontracted vertex keeps all its edges in A; every other
-    one ends at a subdivision vertex whose second edge has a contracted end,
-    so it closes no cycle.  Kruskal takes that forest first, so every co-tree
-    edge has a contracted end and every co-tree component is witnessed.  When
-    E - A is empty, G is a tree and there is no co-tree.
+    as its edges.  Its edges without a contracted end join two uncontracted
+    vertices, and an uncontracted vertex keeps all its edges in A, so those
+    edges are edges of A between vertices the contraction left alone; A is
+    acyclic, so they form a forest.  Kruskal takes that forest first, so
+    every co-tree edge has a contracted end and every co-tree component is
+    witnessed.  When E - A is empty, G is a tree and there is no co-tree.
 
     Parallel edges change nothing: A lies inside the tree, so it holds at
     most one edge of any parallel class, and the others are in E - A, which
@@ -1189,8 +1140,8 @@ def _t_join_certificate(g: Host) -> tuple[RestrictionSet, FeasibilityAnswer]:
             anti.append(up[v])
             odd[sum(g.edges[up[v]]) - v] ^= 1  # v's parent
     r = RestrictionSet.of(anti)
-    analysis = _restricted_analysis(g, r)
-    h, contracted = analysis.simplified.graph, analysis.witness_on_simplified()
+    cmap = _restricted_analysis(g, r)
+    h, contracted = cmap.quotient, _quotient_witnesses(cmap, None)
     parent = list(range(h.vertex_count))
 
     def find(x: int) -> int:
@@ -1200,13 +1151,13 @@ def _t_join_certificate(g: Host) -> tuple[RestrictionSet, FeasibilityAnswer]:
         return x
 
     tree = set()
-    for e in sorted(range(h.edge_count), key=lambda e: any(map(contracted, h.edges[e]))):
+    for e in sorted(range(h.edge_count), key=lambda e: not contracted.isdisjoint(h.edges[e])):
         a, b = find(h.edges[e][0]), find(h.edges[e][1])
         if a != b:
             parent[a] = b
             tree.add(e)
     cert = SpanningTreeCertificate(h, frozenset(tree), _co_tree_report(h, tree, contracted))
-    return r, FeasibilityAnswer(True, cert, analysis=analysis)
+    return r, FeasibilityAnswer(True, cert, analysis=cmap)
 
 
 def _free_direction_trace(host: Host) -> DoubleTrace:

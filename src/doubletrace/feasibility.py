@@ -10,19 +10,17 @@ CapacityError rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Optional, Sequence, Union
+from typing import Callable, Collection, Optional, Sequence
 
 from .errors import CapacityError, InputError, PreconditionError
 from .graphs import (
     ComponentReport,
     ContractionMap,
     EdgeFragment,
-    Graph,
     Host,
     MixedGraph,
     Multigraph,
     RestrictionSet,
-    SimplifiedGraph,
     TraceQuery,
     WitnessSpec,
     _as_predicate,
@@ -31,7 +29,6 @@ from .graphs import (
     contract_mixed,
     induced_edge_subgraph,
     is_connected,
-    simplify_multigraph,
 )
 
 TREE_SEARCH_MAX_VERTICES = 12
@@ -43,7 +40,7 @@ class SpanningTreeCertificate:
     """A spanning tree together with the parity/witness analysis of its
     co-tree, the evidence behind a positive tree-search verdict."""
 
-    host: Union[Graph, Multigraph]
+    host: Host
     tree_edges: frozenset[int]
     co_tree_report: ComponentReport
 
@@ -107,15 +104,15 @@ class FeasibilityAnswer:
 
     True verdicts carry the certificates their characterization requires (a spanning
     tree analysis and/or an even fragment); false verdicts name at least one
-    violated condition.  A restricted positive also keeps the quotient
-    analysis its tree was searched on, so the trace is built on it.
+    violated condition.  A restricted positive also keeps the contraction
+    whose quotient its tree was searched on, so the trace is built on it.
     """
 
     verdict: bool
     certificate: Optional[SpanningTreeCertificate] = None
     even_fragment: Optional[EdgeFragment] = None
     violated: tuple[str, ...] = ()
-    analysis: Optional[RestrictedAnalysis] = field(default=None, compare=False, repr=False)
+    analysis: Optional[ContractionMap] = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -127,7 +124,7 @@ def _reject_disconnected(host: Host) -> None:
 
 
 def find_admissible_tree(
-    h: Union[Graph, Multigraph],
+    h: Host,
     witness: WitnessSpec = None,
     *,
     accept: Optional[Callable[[SpanningTreeCertificate], bool]] = None,
@@ -233,14 +230,13 @@ def find_admissible_tree(
 
 
 def _odd_rank_refutation(
-    h: Union[Graph, Multigraph], witness: WitnessSpec
+    h: Host, witness: WitnessSpec
 ) -> Optional[FeasibilityAnswer]:
     """A no without tree search, when one follows from the co-tree rank.
 
     Every spanning tree leaves the same number of co-tree edges, the rank
     m - n + 1.  When it is odd some co-tree component is odd, and without a
-    witness vertex nothing excuses it.  Subdividing edges keeps the rank, so
-    the rule reads the same on a quotient and on its simplified graph.
+    witness vertex nothing excuses it.
     """
     rank = h.edge_count - h.vertex_count + 1
     if rank % 2 == 0:
@@ -296,29 +292,18 @@ def _odd_outside(frag: EdgeFragment) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
-class RestrictedAnalysis:
-    """The quotient of a host by its unrestricted fragment, and the simple
-    graph the tree search runs on: the quotient with its loops and parallel
-    edges subdivided.  The decision and the construction both derive it
-    from the host and the restriction in O(m)."""
-
-    contraction: ContractionMap
-    simplified: SimplifiedGraph
-
-    def witness_on_simplified(self, degree_bar: int | None = None) -> Callable[[int], bool]:
-        """Vertices of the searched graph that excuse an odd co-tree
-        component: the quotient's witnesses, never a subdivision vertex."""
-        limit = self.contraction.quotient.vertex_count
-        wit = _quotient_witnesses(self.contraction, degree_bar)
-        return lambda v: v < limit and v in wit
-
-
 def _quotient_witnesses(cmap: ContractionMap, degree_bar: int | None) -> set[int]:
-    """The contracted vertices of the quotient, plus those of quotient
-    degree at least ``degree_bar`` when a bar is given."""
+    """The contracted vertices of the quotient and those with a loop, plus
+    those of quotient degree at least ``degree_bar`` when a bar is given.
+
+    A loop excuses its vertex v.  The co-tree edges at v, the loop among
+    them, lie in one component, so v is split at most once; the split hands
+    one end of the loop to the copy, the loop then joins the two halves,
+    and renaming the copy back leaves v with one transition class.
+    """
     q = cmap.quotient
     wit = set(cmap.eprime_vertices)
+    wit.update(a for a, b in q.edges if a == b)
     if degree_bar is not None:
         wit.update(v for v in range(q.vertex_count) if q.degree(v) >= degree_bar)
     return wit
@@ -332,13 +317,12 @@ def _contract_fragment(host: Host, eprime: list[int]) -> ContractionMap:
     return contract(host, eprime)
 
 
-def _restricted_analysis(host: Host, r: RestrictionSet) -> RestrictedAnalysis:
-    """Contract the unrestricted fragment and simplify the quotient."""
-    cmap = _contract_fragment(host, _unrestricted_edges(host, r))
-    return RestrictedAnalysis(cmap, simplify_multigraph(cmap.quotient))
+def _restricted_analysis(host: Host, r: RestrictionSet) -> ContractionMap:
+    """Contract the fragment of edges outside the restriction."""
+    return _contract_fragment(host, _unrestricted_edges(host, r))
 
 
-def _gate_quotient(q: Multigraph) -> None:
+def _gate_quotient(q: Host) -> None:
     """The size gate of every tree search a decider runs."""
     if q.vertex_count > TREE_SEARCH_MAX_VERTICES:
         raise CapacityError(
@@ -364,11 +348,12 @@ def _restricted_verdict(
     odd co-tree components are all witnessed.  Only the fragment test
     depends on the host: every vertex even on an undirected host, a
     balanced orientation of each component, arcs included, on a mixed one.
-    The witnesses are the contracted vertices and, for d-stable traces, the
-    vertices of quotient degree at least 2d + 2.  The odd-rank refutation
-    and the gate read the quotient, so a query they settle simplifies
-    nothing.  An undirected host's positive verdict also carries its even
-    fragment.
+    The witnesses are the contracted vertices, the vertices with a quotient
+    loop and, for d-stable traces, the vertices of quotient degree at least
+    2d + 2.  The refutation, the gate and the tree search all read the
+    quotient itself, loops and parallel edges included; with nothing
+    contracted it is the host.  An undirected host's positive verdict also
+    carries its even fragment.
     """
     bar = None
     if d is not None:
@@ -386,19 +371,17 @@ def _restricted_verdict(
     if bad is not None:
         return FeasibilityAnswer(False, violated=(bad,))
     cmap = _contract_fragment(host, eprime)
-    refuted = _odd_rank_refutation(cmap.quotient, _quotient_witnesses(cmap, bar))
+    witnesses = _quotient_witnesses(cmap, bar)
+    refuted = _odd_rank_refutation(cmap.quotient, witnesses)
     if refuted is not None:
         return refuted
     _gate_quotient(cmap.quotient)
-    analysis = RestrictedAnalysis(cmap, simplify_multigraph(cmap.quotient))
-    cert = find_admissible_tree(
-        analysis.simplified.graph, analysis.witness_on_simplified(bar)
-    )
+    cert = find_admissible_tree(cmap.quotient, witnesses)
     if cert is not None:
-        return FeasibilityAnswer(True, cert, frag, analysis=analysis)
+        return FeasibilityAnswer(True, cert, frag, analysis=cmap)
     reason = (
         "every spanning tree of the quotient leaves an odd co-tree component "
-        "without a contracted vertex"
+        "without a contracted or looped vertex"
     )
     if bar is not None:
         reason += f" or a vertex of quotient degree >= {bar}"
@@ -418,20 +401,22 @@ def decide(query: TraceQuery) -> FeasibilityAnswer:
     * ``(True, 0, E)`` and ``(False, d >= 1, E)``, E-restricted strong and
       d-stable: the fragment outside E can be walked twice in one direction,
       and the quotient by it has a spanning tree whose odd co-tree
-      components all hold a contracted vertex, or, for d-stable traces, a
-      vertex of quotient degree at least 2d + 2.  With E empty this is the
-      parallel question, which holds exactly on Eulerian hosts; with E =
-      every edge it is the antiparallel one, which for strong traces needs
-      a spanning tree whose co-tree components all have an even number of
-      edges.  On a mixed host each component of the fragment, arcs
+      components all hold a contracted vertex, a vertex with a loop, or,
+      for d-stable traces, a vertex of quotient degree at least 2d + 2.
+      With E empty this is the parallel question, which holds exactly on
+      Eulerian hosts; with E = every edge it is the antiparallel one, which
+      for strong traces needs a spanning tree of the host whose odd co-tree
+      components all hold a looped vertex, so on a simple host all are
+      even.  On a mixed host each component of the fragment, arcs
       included, needs a direction-respecting Euler tour.
 
     Host kinds, by shape; a refused cell raises InputError:
 
     * simple graph: every shape;
     * multigraph: strong, d-stable and double; restricted only with E empty
-      or E = every edge, the parallel and antiparallel questions, since a
-      loop outside another E can break the build;
+      or E = every edge (the parallel and antiparallel questions, searched
+      on the multigraph itself), since a loop outside another E can break
+      the build;
     * mixed graph: restricted only, as arcs fix their own directions.
 
     A query both strong and d-stable, or neither and without E, asks none

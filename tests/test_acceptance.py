@@ -41,7 +41,7 @@ from doubletrace.enumeration import (
     oracle_find,
 )
 from doubletrace.errors import CapacityError
-from doubletrace.feasibility import _restricted_analysis, find_admissible_tree
+from doubletrace.feasibility import _quotient_witnesses, _restricted_analysis, find_admissible_tree
 from doubletrace.graphs import Graph, MixedGraph, Multigraph, automorphisms, is_connected
 from doubletrace.traces import (
     ClosedWalk,
@@ -303,7 +303,7 @@ def test_criterion_3_construction_soundness():
             check("strong", g, construct(TraceQuery.for_variant(g, "strong"), free), strong=True)
             # the free-direction build writes its certificate, unsearched
             t_join, answer = _t_join_certificate(g)
-            if not answer.certificate.revalidate(_restricted_analysis(g, t_join).witness_on_simplified()):
+            if not answer.certificate.revalidate(_quotient_witnesses(_restricted_analysis(g, t_join), None)):
                 failures.append(("t-join-certificate", g.edges, None))
         for d in (1, 2, 3):
             free = ask(g, "dstable", d)

@@ -14,6 +14,7 @@ import pytest
 
 from doubletrace import cli, construction, feasibility, search_backend
 from doubletrace.construction import construct
+from doubletrace.enumeration import oracle_exists
 from doubletrace.errors import ParseError
 from doubletrace.feasibility import decide
 from doubletrace.graphs import (
@@ -47,8 +48,7 @@ K9_TEXT = cli.render_graph(complete_graph(9))
 W4_TEXT = "n 5\ne 0 1\ne 1 2\ne 2 3\ne 3 0\ne 0 4\ne 1 4\ne 2 4\ne 3 4\n"
 LOOP_TEXT = "n 3 multi\ne 0 1\ne 1 2\ne 2 0\ne 0 0\n"
 MIXED_TEXT = "n 4 mixed\ne 0 1\ne 1 2\ne 2 3\ne 3 0\ne 0 2\na 1 3\nE 0 2\n"
-# seeded G(12, 20) and G(9, 18) from e2ebench/kernel_slots.json; the 1-stable
-# construction of the second one splits a high-degree vertex
+# seeded G(12, 20) and G(9, 18) from e2ebench/kernel_slots.json
 G12_20_TEXT = (
     "n 12\ne 0 4\ne 0 8\ne 0 9\ne 0 10\ne 0 11\ne 1 2\ne 1 5\ne 1 8\ne 2 9\ne 2 11\n"
     "e 3 6\ne 3 7\ne 3 10\ne 4 9\ne 4 11\ne 5 8\ne 6 11\ne 7 9\ne 8 11\ne 9 10\n"
@@ -58,6 +58,14 @@ G9_18_TEXT = (
     "n 9\ne 0 1\ne 0 3\ne 0 4\ne 0 5\ne 0 6\ne 0 7\ne 1 7\ne 1 8\ne 2 5\ne 2 6\n"
     "e 2 7\ne 2 8\ne 3 4\ne 5 6\ne 5 7\ne 6 7\ne 6 8\ne 7 8\n"
     "E 0 1 2 3 4 5 6 7 9 11 12 13 15 16 17\n"
+)
+# a seeded G(12, 18) whose fragment is the triangle 4-6-8: the 1-stable
+# verdict's tree has a component that only a high-degree vertex excuses,
+# and that vertex does not split on it
+G12_18_TEXT = (
+    "n 12\ne 0 3\ne 6 8\ne 0 5\ne 0 4\ne 3 6\ne 5 7\ne 4 10\ne 2 8\ne 0 1\n"
+    "e 4 8\ne 1 7\ne 0 9\ne 10 11\ne 2 7\ne 4 11\ne 5 11\ne 4 6\ne 7 9\n"
+    "E 0 2 3 4 5 6 7 8 10 11 12 13 14 15 17\n"
 )
 
 
@@ -515,7 +523,7 @@ def small_multigraphs():
 
 
 def reference_verdict(host, variant, d):
-    """What the parallel and antiparallel questions ask, on the host itself:
+    """What the parallel and antiparallel questions ask of a simple host:
     every degree even, or an admissible tree of the host whose witnesses
     are the vertices of degree at least 2d + 2; each behind the degree
     gate on distinct incident edges.  Returns (verdict, tree certificate)."""
@@ -532,13 +540,23 @@ def reference_verdict(host, variant, d):
 class TestRoutedVariants:
     """``parallel`` and ``antiparallel`` are the restricted decision with E
     empty and E = all edges: the routed verdicts match the direct questions
-    on small populations, and every positive builds without the kernel.
-    On multigraphs ``restricted`` with those two restrictions asks the same
-    questions and gets the same answers."""
+    on simple hosts and the exhaustive kernel on multigraphs, and every
+    positive builds without the kernel.  On multigraphs ``restricted`` with
+    those two restrictions asks the same questions and gets the same
+    answers."""
 
     def cross_check(self, monkeypatch, hosts):
+        kernel = search_backend.run
+
         def refuse(*args, **kwargs):
             raise AssertionError("parallel or antiparallel construct reached the kernel")
+
+        def referee(q):
+            # the kernel judges a multigraph: the tree search on the host
+            # is the characterization under test, loops included
+            with monkeypatch.context() as m:
+                m.setattr(search_backend, "run", kernel)
+                return oracle_exists(q), None
 
         monkeypatch.setattr(search_backend, "run", refuse)
         count = positives = 0
@@ -556,7 +574,10 @@ class TestRoutedVariants:
                 count += 1
                 q = TraceQuery.for_variant(host, variant, d, file_r)
                 answer = decide(q)
-                verdict, cert = reference_verdict(host, question, d)
+                if isinstance(host, Multigraph):
+                    verdict, cert = referee(q)
+                else:
+                    verdict, cert = reference_verdict(host, question, d)
                 assert answer.verdict == verdict, (host, variant, d)
                 if isinstance(host, Graph) and question == "antiparallel":
                     assert answer.certificate == cert, (host, d)
@@ -578,6 +599,25 @@ class TestRoutedVariants:
         count, positives = self.cross_check(monkeypatch, small_multigraphs())
         assert count == 12 * 237
         assert 0 < positives < count
+
+    @pytest.mark.parametrize(
+        "text",
+        ["n 1 multi\ne 0 0\n", "n 2 multi\ne 0 0\ne 0 1\ne 1 1\n"],
+        ids=["lone-loop", "two-loops-and-an-edge"],
+    )
+    def test_a_loop_excuses_its_vertex(self, tmp_path, capsys, text):
+        # each host has odd co-tree rank, so only its looped vertices
+        # excuse the odd co-tree component
+        gpath = write(tmp_path, "g.g", text)
+        code, doc, _ = run_json(capsys, "check", gpath, "--variant", "antiparallel")
+        assert (code, doc["outcome"]) == (0, "true")
+        code, out, err = run_cli(capsys, "construct", gpath, "--variant", "antiparallel")
+        assert code == 0, err
+        tpath = write(tmp_path, "t.json", out)
+        code, doc, _ = run_json(capsys, "classify", tpath, gpath)
+        assert code == 0
+        assert (doc["valid"], doc["strong"]) == (True, True)
+        assert set(doc["directions"]) == {"antiparallel"}
 
 
 class TestFreeDirections:
@@ -646,9 +686,6 @@ class TestOneTreeSearch:
     build then searches again, with ``accept=``, for a tree that does.  A
     free-direction query searches no tree at all."""
 
-    # the kernel slot whose verdict's own tree does not split
-    RESEARCHED = "restricted-d1/G(10,20)#4"
-
     @pytest.fixture
     def searches(self, monkeypatch):
         """One entry per tree search: whether it was an ``accept=`` search."""
@@ -685,9 +722,7 @@ class TestOneTreeSearch:
                 argv += ["--d", str(item["d"])]
             counts[item["slot"]] = self.construct(tmp_path, capsys, searches, text, *argv)
         assert len(counts) == 16
-        expected = {slot: [False] for slot in counts}
-        expected[self.RESEARCHED] = [False, True]
-        assert counts == expected
+        assert counts == {slot: [False] for slot in counts}
 
     @pytest.mark.parametrize(
         "text, argv, expected",
@@ -697,8 +732,9 @@ class TestOneTreeSearch:
             (W4_TEXT, ("--variant", "antiparallel"), [False]),
             # every degree is odd: the T-join's certificate is written down
             (K4_TEXT, ("--variant", "strong"), []),
+            (G12_18_TEXT, ("--variant", "restricted", "--d", "1"), [False, True]),
         ],
-        ids=["restricted", "mixed", "antiparallel", "free-strong"],
+        ids=["restricted", "mixed", "antiparallel", "free-strong", "degree-bar-research"],
     )
     def test_one_search_per_query(self, tmp_path, capsys, searches, text, argv, expected):
         assert self.construct(tmp_path, capsys, searches, text, *argv) == expected

@@ -14,6 +14,7 @@ from doubletrace.feasibility import (
     SpanningTreeCertificate,
     _as_predicate,
     _balanced_orientation,
+    _quotient_witnesses,
     _reject_disconnected,
     _restricted_analysis,
     decide,
@@ -30,10 +31,12 @@ from doubletrace.graphs import (
     induced_edge_subgraph,
     is_connected,
     path_graph,
+    simplify_multigraph,
 )
 from doubletrace.traces import RestrictionSet
 
 from test_graphs import brute_spanning_trees
+from test_search_backend import connected_multigraphs
 
 K1 = Graph(1, [])
 C3 = cycle_graph(3)
@@ -466,11 +469,32 @@ class TestIncrementalSearchMatchesLeafRebuild:
             g = Graph(item["n"], item["edges"])
             anti = item["restriction"]
             r = RestrictionSet.of(range(g.edge_count) if anti is None else anti)
-            analysis = _restricted_analysis(g, r)
+            cmap = _restricted_analysis(g, r)
             for bar in (None, 4):
-                assert_same_search(
-                    analysis.simplified.graph, analysis.witness_on_simplified(bar)
-                )
+                assert_same_search(cmap.quotient, _quotient_witnesses(cmap, bar))
+
+
+class TestSearchOnTheQuotient:
+    """The tree search runs on the quotient multigraph itself.  Subdividing
+    its loops and parallel edges into a simple graph changes no verdict: on
+    every small multigraph and every witness set, both have an admissible
+    tree or neither has."""
+
+    def test_subdivision_changes_no_verdict(self):
+        pairs = found = 0
+        # the edgeless vertex too, which the generator leaves out
+        for n, edges in itertools.chain([(1, ())], connected_multigraphs(4, 5)):
+            q = Multigraph(n, edges)
+            simple = simplify_multigraph(q).graph
+            for bits in range(1 << n):
+                witness = {v for v in range(n) if bits >> v & 1}
+                on_q = find_admissible_tree(q, witness) is not None
+                on_simple = find_admissible_tree(simple, witness) is not None
+                assert on_q == on_simple, (n, edges, witness)
+                pairs += 1
+                found += on_q
+        assert pairs == 13192
+        assert 0 < found < pairs
 
 
 class TestOddRankRefutation:
