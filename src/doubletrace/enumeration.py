@@ -9,7 +9,9 @@ an answer.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,23 +27,19 @@ Codes = bytes | tuple[int, ...]  # steps coded 2e + f; bytes while codes fit
 
 
 def lower_query(query: TraceQuery) -> tuple[int, list[int], list[int], list[int]]:
-    """Flatten a query into the kernel's array form."""
+    """Flatten a query into the kernel's array form; arcs are the indices
+    after the undirected edges."""
     host = query.host
-    ea, eb, labels = [], [], []
-    anti = query.restriction.antiparallel_edges if query.restriction is not None else None
-    for i in range(host.edge_count):
-        a, b = host.endpoints(i)
-        ea.append(a)
-        eb.append(b)
-        if host.is_arc(i):
-            labels.append(search_backend.ARC)
-        elif anti is None:
-            labels.append(search_backend.FREE)
-        elif i in anti:
-            labels.append(search_backend.ANTI)
-        else:
-            labels.append(search_backend.PAR)
-    return host.vertex_count, ea, eb, labels
+    tails = host.dart_tails
+    k = len(host.edges)
+    r = query.restriction
+    if r is None:
+        labels = [search_backend.FREE] * k
+    else:
+        anti = r.antiparallel_edges
+        labels = [search_backend.ANTI if i in anti else search_backend.PAR for i in range(k)]
+    labels += [search_backend.ARC] * len(host.arcs)
+    return host.vertex_count, list(tails[::2]), list(tails[1::2]), labels
 
 
 def _gate(query: TraceQuery, limit: int, override: int | None) -> None:
@@ -128,24 +126,27 @@ def _step_tables(host: Host, auts: tuple[tuple[int, ...], ...] | None = None) ->
     if auts is None:
         simple = isinstance(host, Graph)
         auts = automorphisms(host) if simple else (tuple(range(host.vertex_count)),)
-    m = host.edge_count
-    lookup = {tuple(sorted(host.endpoints(i))): i for i in range(m)}
+    ends = host.edges + host.arcs
+    # step codes by oriented endpoints: the first edge listed between two
+    # vertices keeps its codes, so a parallel edge or a repeated loop adds none
+    darts: dict[tuple[int, int], int] = {}
+    for i, (a, b) in enumerate(ends):
+        darts.setdefault((a, b), 2 * i)
+        darts.setdefault((b, a), 2 * i + 1)
+    repeated = len(darts) < sum(2 - (a == b) for a, b in ends)
+    identity = tuple(range(host.vertex_count))
     tables = []
     for perm in auts:
-        if all(perm[v] == v for v in range(len(perm))):
-            tables.append(list(range(2 * m)))
+        if tuple(perm) == identity:
+            tables.append(list(range(2 * len(ends))))
             continue
-        if len(lookup) < m:
+        if repeated:
             raise InputError("only the identity relabels parallel edges or repeated loops")
-        table = []
-        for i in range(m):
-            a, b = host.endpoints(i)
-            j = lookup.get(tuple(sorted((perm[a], perm[b]))))
-            if j is None:
-                raise InputError(f"relabeling {perm} is not an automorphism of the host")
-            f = 0 if host.endpoints(j)[0] == perm[a] else 1
-            table += (2 * j + f, 2 * j + 1 - f)
-        tables.append(table)
+        images = [darts.get((perm[a], perm[b])) for a, b in ends]
+        if None in images:
+            raise InputError(f"relabeling {perm} is not an automorphism of the host")
+        # a loop's codes too: its two darts share a key
+        tables.append([c for d in images for c in (d, d ^ 1)])
     return tables
 
 
@@ -306,8 +307,16 @@ def enumerate_sweep(host: Graph, p: int, d: int | None) -> list[EquivalenceClass
         return [EquivalenceClass((), 1)]
     tables = _step_tables(host, automorphisms(host))
     n, ea, eb, _ = lower_query(query)
+    # The kernel's static parity check, made before any labels are built: a
+    # vertex with an odd number of unrestricted (parallel) edges has no
+    # trace.  Bit v of ends[i] marks an end of edge i at v, so the host's
+    # odd-degree vertices XOR the set's ends mark exactly those vertices.
+    ends = [1 << a ^ 1 << b for a, b in host.edges]
+    odd = functools.reduce(operator.xor, ends)
     leaders = []
     for anti in itertools.combinations(range(m), p):
+        if functools.reduce(operator.xor, map(ends.__getitem__, anti), odd):
+            continue
         labels = [search_backend.PAR] * m
         for i in anti:
             labels[i] = search_backend.ANTI

@@ -621,6 +621,10 @@ def _contract_over(host: Host, merged_edges: Collection[int],
         qedges.append((image[a], image[b]))
         origin.append(i)
     quotient = host if not touched else Multigraph(next_id, tuple(qedges))
+    if quotient is not host and "_connected" in host.__dict__:
+        # every edge merges or survives, and a contraction joins no two
+        # components, so the quotient is connected exactly when the host is
+        quotient.__dict__["_connected"] = host._connected
     return ContractionMap(host, quotient, tuple(image), eprime, tuple(origin))
 
 

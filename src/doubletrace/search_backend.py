@@ -11,7 +11,11 @@ Pruning rules (all sound: none can cut a satisfying walk):
 * a static arrival parity check for vertices with no free non-loop edges,
 * frozen transition components: a component of the link structure at a
   vertex that can take no further link never merges with anything later,
-  so an undersized or non-spanning one kills the branch.
+  so an undersized or non-spanning one kills the branch,
+* the start vertex's arrivals: a step that brings the walk to the start
+  for the deg(start)-th time before the last step strands it there.  No
+  other vertex can strand it, since arriving at a vertex other than the
+  start always leaves an odd number of its edge ends unused.
 
 Transition components live in one undoable union-find over slots, one slot
 per (vertex, incident edge), with union by size and no path compression.
@@ -103,11 +107,7 @@ def run(
     """
     m = len(ea)
     if m == 0:
-        if mode == MODE_COUNT_RAW:
-            return 0
-        if mode == MODE_ENUM_FIXED:
-            return []
-        return []  # the empty trace
+        return 0 if mode == MODE_COUNT_RAW else []  # exists: the empty trace
 
     L = 2 * m
     deg = [0] * n
@@ -151,58 +151,70 @@ def run(
         if free_ends[v] == 0 and (anti_ends[v] - deg[v]) % 2 != 0:
             # without free edges the arrival parity at v is fixed
             return _negative(mode)
+    # how far v's arrival bounds may still close in on deg[v], from each side
+    room_in = [deg[v] - lo_in[v] for v in range(n)]
+    room_out = [hi_in[v] - deg[v] for v in range(n)]
 
     # Slots of the transition union-find (see the module docstring): 2e at
     # ea[e] and 2e + 1 at eb[e]; a loop has only 2e.
     open_ends = [2] * L
-    # Moves from v in incident-edge then flag order: (edge, flag, head,
-    # label, tail slot, head slot, arrival-bound shift on the first use,
-    # shift on the second use).  A parallel edge commits both arrivals on
-    # its first use, a free edge one per use; loops commit nothing.
-    moves: list[list[tuple[int, int, int, int, int, int, int, int]]] = [[] for _ in range(n)]
-    for e in range(m):
-        a, b, lbl = ea[e], eb[e], labels[e]
-        s = 2 * e
-        if a == b:
-            open_ends[s] = 4
-            moves[a].append((e, 0, a, lbl, s, s, 0, 0))
-            if lbl != ARC:
-                moves[a].append((e, 1, a, lbl, s, s, 0, 0))
-            continue
-        second = 1 if lbl == FREE else 0
-        first = 2 if lbl == PAR else second
-        moves[a].append((e, 0, b, lbl, s, s + 1, first, second))
-        if lbl != ARC:
-            moves[b].append((e, 1, a, lbl, s + 1, s, first, second))
-
     parent = list(range(L))
     size = [1] * L
     # a frozen transition component at v must hold at least need[v] edges
     need = [max(inc_count[v] if require_strong else 0, d_max + 1) for v in range(n)]
     check_local = require_strong or d_max > 0
+    # An edge's state: 0 unused, 1 + f used once with flag f, 3 used twice.
+    # Moves from v in incident-edge then flag order: (edge, step code, head,
+    # head slot, tail slot, the edge's next state by its state, the
+    # arrival-bound shift by state, and the edge if stepping straight back
+    # along it is a U-turn whose link (e, e) freezes {e} too small, else -1).
+    # Next states by label and flag: 0 where the label forbids the move, as
+    # a parallel edge repeats its first flag and an antiparallel one flips
+    # it.  Shifts by label: a parallel edge commits both arrivals on its
+    # first use, a free edge one per use; loops commit nothing.
+    next_by_label = (((1, 3, 3, 0), (2, 3, 3, 0)), ((1, 3, 0, 0), (2, 0, 3, 0)),
+                     ((1, 0, 3, 0), (2, 3, 0, 0)), ((1, 3, 3, 0), (2, 3, 3, 0)))
+    shift_by_label = ((1, 1, 1, 0), (2, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+    moves: list[list[tuple]] = [[] for _ in range(n)]
+    for e in range(m):
+        a, b, lbl = ea[e], eb[e], labels[e]
+        s, (nxt0, nxt1), shifts = 2 * e, next_by_label[lbl], shift_by_label[lbl]
+        if a == b:
+            open_ends[s] = 4
+            moves[a].append((e, s, a, s, s, nxt0, (0, 0, 0, 0), -1))
+            if lbl != ARC:
+                moves[a].append((e, s + 1, a, s, s, nxt1, (0, 0, 0, 0), -1))
+            continue
+        moves[a].append((e, s, b, s + 1, s, nxt0, shifts, e if need[a] > 1 else -1))
+        if lbl != ARC:
+            moves[b].append((e, s + 1, a, s, s + 1, nxt1, shifts, e if need[b] > 1 else -1))
 
-    use = [0] * m
-    fflag = [0] * m
-    rem = [2 * deg[v] for v in range(n)]
-    steps: list[tuple[int, int]] = []
-    found_steps: list[tuple[tuple[int, int], ...]] = []
+    state = [0] * m
+    codes = [0] * L  # the walk so far as step codes
+    step_of = [(c >> 1, c & 1) for c in range(L)]
+    found: list = []
     count = 0
     start = first_slot = 0  # set per root below
     lex = mode == MODE_ENUM_FIXED and tables is not None
     if lex:
         if any(lbl == ARC for lbl in labels):
             raise ValueError("symmetry tables need an arc-free host")
-        codes = [0] * L  # the walk so far as step codes
         group = 2 * len(tables) * L
-        back = [[c ^ 1 for c in t] for t in tables]
-        # per code, the tables that map it to code 0: where tied pairs start
-        fwd_at = [[t for t in tables if t[c] == 0] for c in range(L)]
-        rev_at = [[t for t in back if t[c] == 0] for c in range(L)]
+        # per code, the tables, forward and read backwards, that map it to
+        # code 0: where tied pairs start
+        fwd_at: list[list[list[int]]] = [[] for _ in range(L)]
+        rev_at: list[list[list[int]]] = [[] for _ in range(L)]
+        for t in tables:
+            fwd_at[t.index(0)].append(t)
+            rev_at[t.index(1)].append([c ^ 1 for c in t])
 
-    def extend(pos: int, depth: int, prev_edge: int, prev_slot: int, ties, rties) -> bool:
+    def extend(
+        pos: int, depth: int, prev_edge: int, prev_slot: int, home: int, ties, rties
+    ) -> bool:
         """Depth-first extension from pos, entered by prev_edge at
-        prev_slot; returns True to stop the whole search.  ties and rties:
-        the forward and reversed (table, start) pairs still tied."""
+        prev_slot, with home arrivals at the start vertex still to come;
+        returns True to stop the whole search.  ties and rties: the forward
+        and reversed (table, start) pairs still tied."""
         nonlocal count
         # every link made here joins the arrival slot's component, whose
         # root stays put while the moves below are tried and undone
@@ -242,77 +254,67 @@ def run(
                         stab += 1
                     elif t[codes[q - i + L]] < codes[i]:
                         return False
-                found_steps.append((tuple(steps), group // stab))
+                found.append((tuple(map(step_of.__getitem__, codes)), group // stab))
                 return False
-            found_steps.append(tuple(steps))
+            found.append(tuple(map(step_of.__getitem__, codes)))
             return mode == MODE_EXISTS
-        last = depth + 1 == L
-        for e, f, w, lbl, tail, head, first, second in moves[pos]:
-            u = use[e]
-            if u == 0:
-                shift = first
-            elif u == 1:
-                if lbl == PAR:
-                    if f != fflag[e]:
-                        continue
-                elif lbl == ANTI:
-                    if f == fflag[e]:
-                        continue
-                if prev_edge == e and w != pos and need[pos] > 1:
-                    continue  # U-turn on a non-loop: the link (e, e) freezes {e}
-                shift = second
-            else:
+        for e, c, w, head, tail, nxt, shifts, turn in moves[pos]:
+            u = state[e]
+            if not nxt[u] or prev_edge == turn:
                 continue
+            shift = shifts[u]
             if shift:
-                lo_in[w] += shift
-                hi_in[pos] -= shift
-                if lo_in[w] > deg[w] or hi_in[pos] < deg[pos]:
-                    lo_in[w] -= shift
-                    hi_in[pos] += shift
+                free_in, free_out = room_in[w], room_out[pos]
+                if shift > free_in or shift > free_out:
                     continue
+                room_in[w] = free_in - shift
+                room_out[pos] = free_out - shift
 
             ok = True
             if check_local:
                 # link (prev_edge, e) at pos; only the root it touches can
-                # have just frozen
+                # have just frozen, and only if the link closes it: merged
+                # components keep an open end, as each had two
                 x = root
                 y = tail
                 while parent[y] != y:
                     y = parent[y]
+                before = open_ends[x]
                 if x == y:
                     y = -1
-                    left = open_ends[x] - 2
+                    open_ends[x] = before - 2
+                    ok = before > 2 or size[x] >= need[pos]
                 else:
                     if size[x] < size[y]:
                         x, y = y, x
+                        before = open_ends[x]
                     parent[y] = x
                     size[x] += size[y]
-                    left = open_ends[x] + open_ends[y] - 2
-                open_ends[x], before = left, open_ends[x]
-                ok = left > 0 or size[x] >= need[pos]
+                    open_ends[x] = before + open_ends[y] - 2
 
-            use[e] = u + 1
-            if u == 0:
-                fflag[e] = f
-            rem[pos] -= 1
-            rem[w] -= 1
-            if ok and not last and (rem[w] == 0 or (pos == start and rem[start] == 0)):
-                ok = False  # stuck on arrival, or can never return to close the walk
+            state[e] = nxt[u]
+            next_home = home
+            if w == start:
+                next_home -= 1
+                if not next_home and depth + 1 < L:
+                    ok = False  # the walk could never leave the start again
+            codes[depth] = c
             nties, nrties = ties, rties
             if ok and lex:
-                c = 2 * e + f
-                codes[depth] = c
-                nties = []
-                for t, j in ties:
-                    # not x and y: those hold the union-find roots to undo
-                    image, own = t[c], codes[depth - j]
-                    if image == own:
-                        nties.append((t, j))
-                    elif image < own:
-                        ok = False  # a smaller image: not a lex-leader
-                        break
+                if ties or fwd_at[c]:
+                    nties = []
+                    for pair in ties:
+                        # not x and y: those hold the union-find roots to undo
+                        t, j = pair
+                        image, own = t[c], codes[depth - j]
+                        if image == own:
+                            nties.append(pair)
+                        elif image < own:
+                            ok = False  # a smaller image: not a lex-leader
+                            break
+                    for t in fwd_at[c]:
+                        nties.append((t, depth))
                 if ok:
-                    nties += [(t, depth) for t in fwd_at[c]]
                     for t in rev_at[c]:
                         # read back from here to step 0
                         i = 1
@@ -323,23 +325,18 @@ def run(
                         elif t[codes[depth - i]] < codes[i]:
                             ok = False
                             break
-            if ok:
-                steps.append((e, f))
-                if extend(w, depth + 1, e, head, nties, nrties):
-                    return True
-                steps.pop()
+            if ok and extend(w, depth + 1, e, head, next_home, nties, nrties):
+                return True
 
-            rem[pos] += 1
-            rem[w] += 1
-            use[e] = u
+            state[e] = u
             if check_local:
                 open_ends[x] = before
                 if y >= 0:
                     parent[y] = y
                     size[x] -= size[y]
             if shift:
-                lo_in[w] -= shift
-                hi_in[pos] += shift
+                room_in[w] = free_in
+                room_out[pos] = free_out
         return False
 
     has_arcs = any(lbl == ARC for lbl in labels)
@@ -358,36 +355,25 @@ def run(
         rties = [(t, 0) for t in rev_at[0]]
 
     for e0, f0 in roots:
-        a, b = ea[e0], eb[e0]
-        start = a if (a == b or f0 == 0) else b
-        _, _, w0, _, first_slot, head, shift, _ = next(
-            mv for mv in moves[start] if mv[0] == e0 and mv[1] == f0
-        )
-        if shift:
-            lo_in[w0] += shift
-            hi_in[start] -= shift
-            if lo_in[w0] > deg[w0] or hi_in[start] < deg[start]:
-                lo_in[w0] -= shift
-                hi_in[start] += shift
-                continue
-        use[e0] = 1
-        fflag[e0] = f0
-        rem[start] -= 1
-        rem[w0] -= 1
-        steps.append((e0, f0))
-        stop = extend(w0, 1, e0, head, ties, rties)
-        steps.pop()
-        rem[start] += 1
-        rem[w0] += 1
-        use[e0] = 0
-        if shift:
-            lo_in[w0] -= shift
-            hi_in[start] += shift
+        start = eb[e0] if f0 else ea[e0]
+        root_move = next(mv for mv in moves[start] if mv[1] == 2 * e0 + f0)
+        _, c0, w0, head, first_slot, nxt, shifts, _ = root_move
+        shift = shifts[0]
+        if shift > room_in[w0] or shift > room_out[start]:
+            continue
+        room_in[w0] -= shift
+        room_out[start] -= shift
+        state[e0] = nxt[0]
+        codes[0] = c0
+        stop = extend(w0, 1, e0, head, deg[start] - (w0 == start), ties, rties)
+        state[e0] = 0
+        room_in[w0] += shift
+        room_out[start] += shift
         if stop:
             break
 
     if mode == MODE_COUNT_RAW:
         return count
     if mode == MODE_ENUM_FIXED:
-        return found_steps
-    return list(found_steps[0]) if found_steps else None
+        return found
+    return list(found[0]) if found else None

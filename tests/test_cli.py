@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from doubletrace import cli, construction, feasibility, search_backend
+from doubletrace import cli, construction, feasibility, graphs, search_backend
 from doubletrace.construction import construct
 from doubletrace.enumeration import oracle_exists
 from doubletrace.errors import ParseError
@@ -202,6 +202,22 @@ class TestCheck:
         assert doc["restriction"] == [0, 1, 2]
         assert doc["certificate"]["tree_edges"]
         assert doc["even_fragment"] == [3, 4, 5]
+
+    def test_one_connectivity_search_per_query(self, tmp_path, capsys, monkeypatch):
+        """The quotient takes its connectivity from the host: the tree
+        search on it runs no second search."""
+        searched = []
+        original = graphs._search_connected
+
+        def spy(host):
+            searched.append(host)
+            return original(host)
+
+        monkeypatch.setattr(graphs, "_search_connected", spy)
+        path = write(tmp_path, "k4star.g", K4_STAR_TEXT)
+        code, doc, _ = run_json(capsys, "check", path)
+        assert (code, doc["outcome"]) == (0, "true")
+        assert len(searched) == 1
 
     def test_k4_antiparallel_false(self, tmp_path, capsys):
         path = write(tmp_path, "k4.g", K4_TEXT)

@@ -396,7 +396,7 @@ class TestFoldRejectsAmbiguousRelabelings:
         # sequences that use it four times
         w = DoubleTrace(self.PARALLEL, ((0, 0), (1, 1), (0, 0), (1, 1)))
         assert validate_double_trace(w).ok
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="only the identity relabels parallel edges"):
             orbit_size(w, self.SWAP)
         with pytest.raises(InputError):
             canonical_form(w, self.SWAP)
@@ -404,7 +404,7 @@ class TestFoldRejectsAmbiguousRelabelings:
     def test_repeated_loops(self):
         host = Multigraph(2, [(0, 1), (0, 0), (0, 0), (1, 1), (1, 1)])
         w = oracle_find(TraceQuery(host))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="or repeated loops"):
             canonical_form(w, self.SWAP)
 
     def test_identity_still_folds_rotations_and_reversal(self):
@@ -413,7 +413,7 @@ class TestFoldRejectsAmbiguousRelabelings:
         assert orbit_size(w, ident) == len(reference_orbit(self.PARALLEL, w.steps, ident, True))
 
     def test_non_automorphism(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"relabeling \(1, 0, 2\) is not an automorphism"):
             canonical_form(oracle_find(TraceQuery(path_graph(3))), ((1, 0, 2),))
 
 

@@ -5,14 +5,16 @@ no pruning, and the kernel must find exactly the walks each query accepts.
 ``reference_run`` is the kernel before transition components were tracked
 incrementally.  Both must return the same sequences in the same order in
 every mode, on every small multigraph and label assignment and on seeded
-larger ones.
+larger ones.  Given step tables, the kernel's lex-leaders must be the
+classes ``fold_classes`` finds among the reference's enumeration.
 """
 
 import itertools
 import random
 
 from doubletrace import search_backend
-from doubletrace.graphs import Multigraph, is_connected
+from doubletrace.enumeration import _fixing, _step_tables, fold_classes
+from doubletrace.graphs import Graph, Multigraph, automorphisms, is_connected
 from doubletrace.search_backend import (
     ANTI,
     ARC,
@@ -414,3 +416,64 @@ class TestMatchesBruteForce:
                 with_loops += any(a == b for a, b in edges) and bool(want)
         assert queries == 992
         assert with_loops > 100
+
+
+def seeded_simple_graphs(seed, count):
+    """``count`` distinct connected simple graphs with 4 to 6 vertices and
+    at most 8 edges, drawn from the seed."""
+    rng = random.Random(seed)
+    seen = set()
+    while len(seen) < count:
+        n = rng.randint(4, 6)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = tuple(sorted(rng.sample(pairs, rng.randint(n - 1, min(8, len(pairs))))))
+        g = Graph(n, edges)
+        if (n, edges) not in seen and is_connected(g):
+            seen.add((n, edges))
+            yield g
+
+
+def assert_same_leaders(host, auts):
+    """Under the step tables of the automorphisms in ``auts`` that fix each
+    labeling's antiparallel set, the lex-leader enumeration lists exactly
+    the classes fold_classes finds among the reference enumeration, with
+    the same sizes, at strong, d = 1 and d = 2."""
+    n, edges = host.vertex_count, host.edges
+    ea = [a for a, _ in edges]
+    eb = [b for _, b in edges]
+    tables = _step_tables(host, auts)
+    labelings = [(FREE,) * len(edges), *itertools.product((PAR, ANTI), repeat=len(edges))]
+    found = 0
+    for labels in labelings:
+        fixing = _fixing(tables, frozenset(i for i, lbl in enumerate(labels) if lbl == ANTI))
+        group = tuple(p for p, t in zip(auts, tables) if any(t is f for f in fixing))
+        for strong, d in CONSTRAINTS[1:]:
+            key = (n, edges, labels, strong, d)
+            leaders = search_backend.run(
+                n, ea, eb, list(labels), strong, d, MODE_ENUM_FIXED, tables=fixing
+            )
+            sequences = reference_run(n, ea, eb, list(labels), strong, d, MODE_ENUM_FIXED)
+            assert sorted(leaders) == fold_classes(host, sequences, group), key
+            found += bool(leaders)
+    return found
+
+
+class TestLexLeaders:
+    """The kernel's lex-leader mode against the fold of the reference
+    kernel's enumeration: one (least member, class size) per class."""
+
+    def test_every_small_multigraph_under_the_identity(self):
+        found = 0
+        for n, edges in connected_multigraphs(3, 3):
+            found += assert_same_leaders(Multigraph(n, edges), (tuple(range(n)),))
+        assert found > 100
+
+    def test_seeded_simple_graphs_under_their_automorphisms(self):
+        found = 0
+        orders = []
+        for g in seeded_simple_graphs(25, 24):
+            auts = automorphisms(g)
+            orders.append(len(auts))
+            found += assert_same_leaders(g, auts)
+        assert found > 0
+        assert sum(k > 2 for k in orders) >= 8 and max(orders) >= 8
