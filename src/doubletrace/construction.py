@@ -2,9 +2,13 @@
 
 The builders here turn certificates into actual walks: Euler tours and
 doubled tours for the all-parallel cases, one-face embeddings built by
-Xuong's pair insertion for antiparallel strong traces, a split-and-project
-construction for antiparallel traces with confined repetitions, and the
-full contract/cut/lift/merge/repair pipeline for restricted strong traces.
+Xuong's pair insertion for antiparallel strong traces, and a
+split-and-project construction for antiparallel traces with confined
+repetitions.  A restricted strong trace is the quotient's antiparallel
+trace, lifted and cut at the contracted vertices, joined with the fragment
+walked twice in one direction by one Euler circuit over the pieces, and
+then repaired by repetition surgery at the fragment vertices; a restricted
+double trace is the same circuit over its own pieces, with no surgery.
 d-stable traces certified by a high-degree vertex run the same pipeline
 after splitting that vertex into two halves of at least d + 1 edges each.
 Strong traces with free directions run it on a T-join with a tree written
@@ -18,8 +22,6 @@ reproduce the same step sequences byte for byte.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -55,7 +57,6 @@ from .traces import (
     Step,
     WalkIndex,
     step_head,
-    step_tail,
 )
 
 Walkable = Union[Host, EdgeFragment]
@@ -169,19 +170,6 @@ def _heads(host: Host, steps: Sequence[Step]) -> list[int]:
     return [tail[2 * e + 1 - f] for e, f in steps]
 
 
-def _splice(w1: tuple, w2: tuple, v: int) -> tuple:
-    """``merge_closed_walks`` on (steps, heads) pairs; a step departs from the
-    head of the one before it, so both ends are found by ``list.index``.
-    Raises ValueError when v is missing from either walk."""
-    (s1, h1), (s2, h2) = w1, w2
-    i = h1.index(v) + 1
-    j = 0 if h2[-1] == v else h2.index(v) + 1
-    return (
-        s1[:i] + s2[j:] + s2[:j] + s1[i:],
-        h1[:i] + h2[j:] + h2[:j] + h1[i:],
-    )
-
-
 def merge_closed_walks(w1: ClosedWalk, w2: ClosedWalk, v: int) -> ClosedWalk:
     """Splice two closed walks sharing ``v`` into one.
 
@@ -195,12 +183,15 @@ def merge_closed_walks(w1: ClosedWalk, w2: ClosedWalk, v: int) -> ClosedWalk:
         return w1
     if not w1.steps:
         return w2
-    pair = [(w.steps, _heads(w1.host, w.steps)) for w in (w1, w2)]
+    s1, s2 = w1.steps, w2.steps
+    # a step departs from the head of the one before it
+    h1, h2 = _heads(w1.host, s1), _heads(w1.host, s2)
     try:
-        steps, _ = _splice(*pair, v)
+        i = h1.index(v) + 1
+        j = 0 if h2[-1] == v else h2.index(v) + 1
     except ValueError:
         raise PreconditionError(f"vertex {v} does not occur in both walks") from None
-    return ClosedWalk._of(w1.host, steps)
+    return ClosedWalk._of(w1.host, s1[:i] + s2[j:] + s2[:j] + s1[i:])
 
 
 class _Surgery:
@@ -490,22 +481,6 @@ def antiparallel_strong_trace(
     return DoubleTrace._of(g, _one_face_walk(g, cert))
 
 
-def _splittable_edge(h: Host, comp, v: int, attach: Sequence[int]) -> int:
-    # an attachment edge whose removal leaves only even pieces; one always
-    # exists because an all-bridges vertex in an odd component would force
-    # an even edge count
-    for e in attach:
-        rest = sorted(comp.edges - {e})
-        if not rest:
-            return e
-        parts = components_with_parity(induced_edge_subgraph(h, rest))
-        if all(not p.odd for p in parts):
-            return e
-    raise InternalConsistencyError(
-        f"odd component {sorted(comp.edges)!r} has no splittable edge at {v}"
-    )
-
-
 def _split_vertex(
     edges: list[tuple[int, int]], v: int, copy: int, moved
 ) -> None:
@@ -567,7 +542,14 @@ def antiparallel_double_trace_with_repetitions_in(
     for comp in odd:
         v = min(u for u in comp.vertices if u in witness)
         attach = sorted(i for i in comp.edges if v in h.endpoints(i))
-        e = _splittable_edge(h, comp, v, attach)
+        # an attachment edge whose removal leaves only even pieces; one
+        # always exists because an all-bridges vertex in an odd component
+        # would force an even edge count
+        e = next((i for i in attach if _lobes(h, comp.edges - {i}, v) is not None), None)
+        if e is None:
+            raise InternalConsistencyError(
+                f"odd component {sorted(comp.edges)!r} has no splittable edge at {v}"
+            )
         _split_vertex(edges, v, n, attach)
         n += 1
         tree.add(e)
@@ -837,66 +819,15 @@ def _degree_bar_certificate(
 
 
 # ---------------------------------------------------------------------------
-# Walk families: the cut-up quotient trace
+# Pieces: the cut-up quotient trace, joined into one circuit
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OpenWalk:
-    """A run of chained steps with both endpoints inside contracted
-    components, remembered by component ordinal."""
-
-    host: Host
-    steps: tuple[Step, ...]
-    start_component: int
-    end_component: int
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def start_vertex(self) -> int:
-        return step_tail(self.host, self.steps[0])
-
-    @property
-    def end_vertex(self) -> int:
-        return step_head(self.host, self.steps[-1])
-
-
-@dataclass(frozen=True)
-class WalkFamily:
-    """The pieces of a quotient trace after cutting at contracted
-    vertices: closed members and open members with endpoint bookkeeping."""
-
-    closed: tuple[ClosedWalk, ...]
-    open: tuple[OpenWalk, ...]
-
-    def direction_counts(self) -> dict[Step, int]:
-        return Counter(s for w in (*self.closed, *self.open) for s in w.steps)
-
-    def problems(self) -> tuple[str, ...]:
-        out = []
-        for k, w in enumerate(self.open):
-            for t in range(len(w.steps) - 1):
-                if step_head(w.host, w.steps[t]) != step_tail(w.host, w.steps[t + 1]):
-                    out.append(f"open walk {k} breaks after step {t}")
-                    break
-        for k, w in enumerate(self.closed):
-            if w.steps and w.head(len(w.steps) - 1) != w.tail(0):
-                out.append(f"closed walk {k} does not close")
-        return tuple(out)
-
-
-def _cut_quotient_walk(
-    host: Host,
-    cmap: ContractionMap,
-    q_steps: tuple[Step, ...],
-    comp_of: dict[int, int],
-) -> WalkFamily:
-    """Lift the quotient trace to host steps, cutting at every arrival in a
-    contracted vertex; the cut starts at the lowest contracted vertex's
-    lowest outgoing step."""
-    q_tail, tail = cmap.quotient.dart_tails, host.dart_tails
+def _cut_quotient_walk(cmap: ContractionMap, q_steps: tuple[Step, ...]) -> list[tuple[Step, ...]]:
+    """Lift the quotient trace to host steps, cut after every arrival at a
+    contracted vertex; the first piece leaves the lowest contracted vertex
+    by its lowest step."""
+    q_tail = cmap.quotient.dart_tails
     marked = cmap.eprime_vertices
     anchors = [
         (q_tail[2 * e + f], e, f, t)
@@ -906,101 +837,63 @@ def _cut_quotient_walk(
     if not anchors:
         raise InternalConsistencyError("quotient walk never meets a contracted vertex")
     t0 = min(anchors)[3]
-    rot = q_steps[t0:] + q_steps[:t0]
-
-    closed: list[ClosedWalk] = []
-    opened: list[OpenWalk] = []
+    pieces: list[tuple[Step, ...]] = []
     cur: list[Step] = []
-    for qe, f in rot:
+    for qe, f in q_steps[t0:] + q_steps[:t0]:
         cur.append((cmap.edge_origin[qe], f))
         if q_tail[2 * qe + 1 - f] in marked:
-            (e0, f0), (e1, f1) = cur[0], cur[-1]
-            z0, z1 = tail[2 * e0 + f0], tail[2 * e1 + 1 - f1]
-            if z0 == z1:
-                closed.append(ClosedWalk._of(host, tuple(cur)))
-            else:
-                opened.append(
-                    OpenWalk(host, tuple(cur), comp_of[z0], comp_of[z1])
-                )
+            pieces.append(tuple(cur))
             cur = []
     if cur:
         raise InternalConsistencyError("quotient walk did not close at a cut point")
-    return WalkFamily(tuple(closed), tuple(opened))
+    return pieces
 
 
-def _close_open_walks(family: WalkFamily) -> list[tuple[Step, ...]]:
-    """Chain open walks end to start until each chain closes, each time
-    with the first unused walk that starts where the chain ends.
+def _euler_circuit(host: Host, pieces: Sequence[Sequence[Step]]) -> tuple[Step, ...]:
+    """One closed walk through every piece, each a nonempty run of steps.
 
-    Within the family every vertex is entered as often as it is left, so a
-    continuation always exists while a chain is open.
+    Hierholzer's algorithm on the multigraph with one arc per piece, from
+    its first tail to its last head: the walk starts at the lowest vertex
+    that starts a piece and leaves each vertex by its first unused piece,
+    in the order given.  Pieces are joined only at their ends, so every
+    transition inside a piece is kept.  Raises InternalConsistencyError
+    when a vertex starts a different number of pieces than end there, or
+    when the pieces do not all join up.
     """
-    walks = family.open
-    used = [False] * len(walks)
-    starting: dict[int, list[int]] = {}  # unused walks by start, first last
-    for k in reversed(range(len(walks))):
-        starting.setdefault(walks[k].start_vertex, []).append(k)
-    chains: list[tuple[Step, ...]] = []
-    for seed in range(len(walks)):
-        if used[seed]:
-            continue
-        used[seed] = True
-        first = walks[seed]
-        steps = list(first.steps)
-        origin = first.start_vertex
-        cur = first.end_vertex
-        while cur != origin:
-            queue = starting.get(cur, [])
-            while queue and used[queue[-1]]:
-                queue.pop()
-            if not queue:
-                raise InternalConsistencyError(
-                    f"open walks are unbalanced at vertex {cur}"
-                )
-            nxt = queue.pop()
-            used[nxt] = True
-            steps.extend(walks[nxt].steps)
-            cur = walks[nxt].end_vertex
-        chains.append(tuple(steps))
-    return chains
-
-
-def _merge_family(
-    host: Host, walks: Sequence[Sequence[Step]], allowed: frozenset[int]
-) -> Sequence[Step]:
-    """Merge the family of closed walks, given by their steps, into one,
-    splicing only at ``allowed`` vertices.
-
-    Splicing rewires two transition links at the splice vertex and can
-    split a class there, so only vertices where surgery stays applicable
-    (the contracted-fragment ones, which carry same-direction edges) are
-    safe.  Each member has such a vertex and consecutive quotient pieces
-    share theirs, so the family always connects through allowed vertices.
-    Each walk's heads are listed once; every splice then finds its ends
-    by ``list.index`` and joins slices, as ``merge_closed_walks`` would.
-    """
-    pool = [(w, _heads(host, w)) for w in walks if w]
-    if not pool:
-        raise InternalConsistencyError("nothing to merge")
-    verts = [allowed.intersection(heads) for _, heads in pool]
-    while len(pool) > 1:
-        found = None
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                shared = verts[i] & verts[j]
-                if shared:
-                    found = (i, j, min(shared))
-                    break
-            if found:
-                break
-        if found is None:
-            raise InternalConsistencyError("walk family is not connected")
-        i, j, v = found
-        pool[i] = _splice(pool[i], pool[j], v)
-        verts[i] = verts[i] | verts[j]
-        del pool[j]
-        del verts[j]
-    return pool[0][0]
+    tail = host.dart_tails
+    out: dict[int, list[int]] = {}
+    heads: list[int] = []
+    balance: dict[int, int] = {}
+    for k, piece in enumerate(pieces):
+        (e0, f0), (e1, f1) = piece[0], piece[-1]
+        a, b = tail[2 * e0 + f0], tail[2 * e1 + 1 - f1]
+        out.setdefault(a, []).append(k)
+        heads.append(b)
+        balance[a] = balance.get(a, 0) + 1
+        balance[b] = balance.get(b, 0) - 1
+    unbalanced = sorted(v for v, c in balance.items() if c)
+    if unbalanced:
+        raise InternalConsistencyError(f"pieces are unbalanced at vertices {unbalanced}")
+    if not pieces:
+        return ()
+    ptr = dict.fromkeys(out, 0)
+    stack = [(min(out), -1)]  # (vertex, piece that reached it)
+    done: list[int] = []  # pieces in reverse walk order
+    while stack:
+        v, k = stack[-1]
+        if ptr[v] < len(out[v]):
+            nxt = out[v][ptr[v]]
+            ptr[v] += 1
+            stack.append((heads[nxt], nxt))
+        else:
+            stack.pop()
+            done.append(k)
+    done.pop()  # the start
+    if len(done) != len(pieces):
+        raise InternalConsistencyError(
+            f"pieces are not connected: the circuit joins {len(done)} of {len(pieces)}"
+        )
+    return tuple(s for k in reversed(done) for s in pieces[k])
 
 
 # ---------------------------------------------------------------------------
@@ -1013,25 +906,21 @@ def _require_connected(host: Host) -> None:
         raise PreconditionError("graph is disconnected")
 
 
-def _family_counts_ok(family: WalkFamily, cmap: ContractionMap) -> None:
-    expect: dict[Step, int] = {}
-    for e in cmap.edge_origin:
-        expect[(e, 0)] = 1
-        expect[(e, 1)] = 1
-    if family.direction_counts() != expect or family.problems():
-        raise InternalConsistencyError("cut walk family violates its contract")
-
-
 def _assemble_restricted(
     host: Host,
     cmap: ContractionMap,
     cert: SpanningTreeCertificate,
     splits: Sequence[Split] = (),
 ) -> DoubleTrace:
-    """Shared pipeline: quotient trace, fragment traces, cut, lift, chain,
-    merge, repair.
+    """The restricted trace from the quotient's certificate: one Euler
+    circuit over pieces, then repetition surgery.
 
-    Surgery runs only at fragment vertices; every other vertex keeps the
+    The quotient's antiparallel trace is lifted and cut after each arrival
+    at a contracted vertex, so every piece runs from one fragment vertex to
+    another; each fragment component adds each step of its Euler tour twice.
+    Both kinds balance at every vertex, and ``_euler_circuit`` joins them at
+    fragment vertices only.  Surgery then runs only there, where every
+    vertex carries a same-direction edge; every other vertex keeps the
     transitions of the quotient trace: one class, or two at a degree-bar
     split.  With no fragment the lifted quotient trace is the answer.
     """
@@ -1047,20 +936,16 @@ def _assemble_restricted(
     for i in range(host.edge_count):
         if i not in survivors:
             parts.setdefault(cmap.vertex_image[host.endpoints(i)[0]], []).append(i)
-    rank = {image: k for k, image in enumerate(parts)}
-    comp_of = {v: rank[q] for v, q in enumerate(cmap.vertex_image) if q in rank}
-
-    family = _cut_quotient_walk(host, cmap, q_steps, comp_of)
-    _family_counts_ok(family, cmap)
-    walks = [parallel_strong_trace(induced_edge_subgraph(host, p)).steps for p in parts.values()]
-    walks += [w.steps for w in family.closed] + _close_open_walks(family)
-    merged = _merge_family(host, walks, frozenset(comp_of))
-    if len(merged) != 2 * host.edge_count:
+    pieces = _cut_quotient_walk(cmap, q_steps)
+    for p in parts.values():
+        pieces += [(s,) for s in euler_tour(induced_edge_subgraph(host, p)).steps * 2]
+    steps = _euler_circuit(host, pieces)
+    if len(steps) != 2 * host.edge_count:
         raise InternalConsistencyError(
-            f"assembled walk has {len(merged)} steps, expected {2 * host.edge_count}"
+            f"assembled walk has {len(steps)} steps, expected {2 * host.edge_count}"
         )
-    walk = DoubleTrace._of(host, tuple(merged))
-    return _repair_to_strong(walk, sorted(comp_of), "assembled trace")
+    fragment = [v for v, q in enumerate(cmap.vertex_image) if q in parts]
+    return _repair_to_strong(DoubleTrace._of(host, steps), fragment, "assembled trace")
 
 
 def _restricted_trace(
@@ -1193,17 +1078,14 @@ def _restricted_double_trace(host: Host, r: RestrictionSet) -> DoubleTrace:
     parallel, when every degree outside ``r`` is even.
 
     Each restricted edge is walked out and back, each component of the
-    other edges by its Euler tour twice over, and the pieces are spliced at
-    shared vertices.  Repetitions are allowed, so no surgery runs.
+    other edges by its Euler tour twice over, and ``_euler_circuit`` joins
+    the pieces.  Repetitions are allowed, so no surgery runs.
     """
-    pieces = [((e, 0), (e, 1)) for e in sorted(r.antiparallel_edges)]
+    pieces = [((e, f),) for e in sorted(r.antiparallel_edges) for f in (0, 1)]
     frag = induced_edge_subgraph(host, r.complement(host))
     for comp in components_with_parity(frag):
-        pieces.append(euler_tour(induced_edge_subgraph(host, comp.edges)).steps * 2)
-    if not pieces:
-        return DoubleTrace._of(host, ())
-    merged = _merge_family(host, pieces, frozenset(range(host.vertex_count)))
-    return DoubleTrace._of(host, tuple(merged))
+        pieces += [(s,) for s in euler_tour(induced_edge_subgraph(host, comp.edges)).steps * 2]
+    return DoubleTrace._of(host, _euler_circuit(host, pieces))
 
 
 def construct(query: TraceQuery, answer: FeasibilityAnswer) -> DoubleTrace:

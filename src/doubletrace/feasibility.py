@@ -509,8 +509,9 @@ def _balanced_orientation(host: Host, edges: Sequence[int]) -> Optional[list[int
         prev = [-1] * size
         prev[0] = 0
         queue = [0]
-        while queue and prev[1] == -1:
-            u = queue.pop(0)
+        for u in queue:  # read in order while it grows
+            if prev[1] != -1:
+                break
             for w, c in cap[u].items():
                 if c > 0 and prev[w] == -1:
                     prev[w] = u

@@ -9,9 +9,8 @@ import pytest
 
 from doubletrace import construction, search_backend, traces
 from doubletrace.construction import (
-    OpenWalk,
-    WalkFamily,
     _balanced_split,
+    _euler_circuit,
     _free_direction_trace,
     _restricted_double_trace,
     _t_join_certificate,
@@ -375,6 +374,32 @@ class TestMergeClosedWalks:
             built += 1
             loops += any(a == b for a, b in edges)
         assert loops > 100
+
+
+class TestEulerCircuit:
+    def test_leaves_each_vertex_by_its_first_unused_piece(self):
+        # 0 -> 3 first, then 3 -> 4 -> 0, then 0 -> 1 -> 2 and 2 -> 0
+        pieces = [((3, 0),), ((0, 0), (1, 0)), ((4, 0), (5, 0)), ((2, 0),)]
+        assert _euler_circuit(FIG8, pieces) == ((3, 0), (4, 0), (5, 0), (0, 0), (1, 0), (2, 0))
+
+    def test_seeded_shuffles_close_on_every_piece_once(self):
+        rng = random.Random(26)
+        for g in connected_even_graphs(5):
+            pieces = [(s,) for s in euler_tour(g).steps * 2]
+            rng.shuffle(pieces)
+            w = ClosedWalk(g, _euler_circuit(g, pieces))
+            assert sorted(w.steps) == sorted(s for (s,) in pieces)
+            assert all(w.head(k - 1) == w.tail(k) for k in range(len(w)))
+
+    def test_unbalanced_pieces_raise(self):
+        # both pieces are single steps: 0 -> 1 and 1 -> 2
+        with pytest.raises(InternalConsistencyError, match="unbalanced at vertices \\[0, 2\\]"):
+            _euler_circuit(FIG8, [((0, 0),), ((1, 0),)])
+
+    def test_disconnected_pieces_raise(self):
+        two = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        with pytest.raises(InternalConsistencyError, match="not connected"):
+            _euler_circuit(two, [((e, 0),) for e in range(6)])
 
 
 class TestReduceRepetition:
@@ -891,8 +916,8 @@ class TestMixedBuilder:
         # contracted vertex, so vertex 4 is split into two halves of two
         w = build(MIXED_BAR, "restricted", 1, MIXED_BAR_R)
         assert w.steps == (
-            (7, 1), (3, 0), (2, 0), (10, 0), (0, 1), (9, 0), (1, 1), (5, 0),
-            (4, 0), (8, 1), (6, 0), (7, 0), (10, 0), (5, 1), (8, 0), (2, 1),
+            (7, 1), (3, 0), (2, 0), (10, 0), (5, 1), (8, 0), (10, 0), (0, 1),
+            (9, 0), (1, 1), (5, 0), (4, 0), (8, 1), (6, 0), (7, 0), (2, 1),
             (3, 1), (6, 1), (1, 0), (9, 1), (0, 0), (4, 0),
         )
         assert_d_stable_restricted(w, MIXED_BAR_R, 1)
@@ -960,22 +985,6 @@ class TestMixedBuilder:
                     assert check_restriction(w, r)
                     built += 1
         assert built > 50
-
-
-class TestWalkFamily:
-    def test_counts_and_problems(self):
-        w1 = ClosedWalk(FIG8, ((0, 0), (1, 0), (2, 0)))
-        ow = OpenWalk(FIG8, ((3, 0), (4, 0)), 0, 1)
-        fam = WalkFamily((w1,), (ow,))
-        counts = fam.direction_counts()
-        assert counts[(0, 0)] == 1 and counts[(4, 0)] == 1
-        assert fam.problems() == ()
-        assert ow.start_vertex == 0 and ow.end_vertex == 4
-
-    def test_broken_chain_reported(self):
-        bad = OpenWalk(FIG8, ((0, 0), (4, 0)), 0, 1)
-        fam = WalkFamily((), (bad,))
-        assert fam.problems()
 
 
 def seeded_graph(rng, n, m):
