@@ -13,16 +13,21 @@ Families, each drawn from a seed fixed by its size:
 * ``cubic``: a random Hamiltonian cycle plus a random perfect matching
   that repeats none of its edges, about m edges;
 * ``multi``: a G(n,2n) draw as above with m - 2k edges, k = m/10, plus k
-  copies of its edges and k loops at random vertices, m edges in all.
+  copies of its edges and k loops at random vertices, m edges in all;
+* ``mixed``: a directed Hamiltonian cycle on n = m/4 + 8 vertices plus
+  edge-disjoint random directed cycles of length 3-8, at least m edges,
+  70% of them undirected and stored in a random direction, the rest arcs.
 
 Variants: ``strong`` and ``double`` on the first two families, ``strong``
 on ``multi``, ``double`` with E the
 T-join restriction that the free-direction build writes; ``dstable``
 (d = 1) on cubic graphs only, since a G(n,2n) draw has leaves and so no
-1-stable trace.  Each point times the decision and the build separately,
-``--repeat`` times, and keeps the medians; every trace is validated after
-the timing.  The log-log slope of build time over edges is fitted by least
-squares per family and variant.
+1-stable trace; ``restricted`` with E empty on ``mixed``, whose quotient is
+one vertex, so the decision is the balanced orientation of the host.  Each
+point times the decision and the build separately, ``--repeat`` times, and
+keeps the medians; every trace is validated after the timing.  The log-log
+slope of build time over edges is fitted by least squares per family and
+variant.
 """
 
 import argparse
@@ -36,7 +41,7 @@ import time
 
 from doubletrace.construction import _t_join_certificate, construct
 from doubletrace.feasibility import decide
-from doubletrace.graphs import Graph, Host, Multigraph, TraceQuery
+from doubletrace.graphs import Graph, Host, MixedGraph, Multigraph, TraceQuery
 from doubletrace.traces import check_restriction, is_d_stable, is_strong, validate_double_trace
 
 
@@ -81,7 +86,30 @@ def cubic(m: int) -> Graph:
             return Graph(n, edges)
 
 
-FAMILIES = {"G(n,2n)": gnm, "cubic": cubic, "multi": multi}
+def mixed(m: int) -> MixedGraph:
+    rng = random.Random(f"mixed:{m}")
+    n = m // 4 + 8  # enough vertex pairs for the cycles at every m
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = list(zip(order, order[1:] + order[:1]))
+    seen = {frozenset(p) for p in pairs}
+    while len(pairs) < m:
+        cycle = rng.sample(range(n), rng.randint(3, 8))
+        steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+        keys = {frozenset(p) for p in steps}
+        if not keys & seen:
+            seen |= keys
+            pairs += steps
+    edges, arcs = [], []
+    for a, b in pairs:
+        if rng.random() < 0.7:
+            edges.append((a, b) if rng.random() < 0.5 else (b, a))
+        else:
+            arcs.append((a, b))
+    return MixedGraph(n, edges=edges, arcs=arcs)
+
+
+FAMILIES = {"G(n,2n)": gnm, "cubic": cubic, "multi": multi, "mixed": mixed}
 POINTS = [
     ("G(n,2n)", "strong"),
     ("G(n,2n)", "double"),
@@ -89,6 +117,7 @@ POINTS = [
     ("cubic", "dstable"),
     ("cubic", "double"),
     ("multi", "strong"),
+    ("mixed", "restricted"),
 ]
 
 
@@ -109,6 +138,8 @@ def run_point(g: Host, variant: str, repeat: int) -> dict:
     ok = validate_double_trace(walk).ok
     if variant == "double":
         ok = ok and check_restriction(walk, r)
+    elif variant == "restricted":
+        ok = ok and check_restriction(walk, query.restriction) and is_strong(walk)
     else:
         ok = ok and (is_strong(walk) if d is None else is_d_stable(walk, d))
     if not ok:

@@ -35,6 +35,7 @@ from .feasibility import (
     SpanningTreeCertificate,
     _balanced_orientation,
     _quotient_witnesses,
+    _reject_disconnected,
     _restricted_analysis,
     find_admissible_tree,
 )
@@ -469,7 +470,7 @@ def antiparallel_strong_trace(
     walk around a face, and the single face is checked before the walk is
     returned.
     """
-    _require_connected(g)
+    _reject_disconnected(g)
     if (
         not isinstance(cert, SpanningTreeCertificate)
         or cert.host != g
@@ -512,7 +513,7 @@ def antiparallel_double_trace_with_repetitions_in(
     projects back by renaming the copies, so a split vertex keeps exactly
     two transition classes: its moved edges and the rest.
     """
-    _require_connected(g)
+    _reject_disconnected(g)
     witness = frozenset(int(v) for v in witness_set)
     for v in witness:
         if not (0 <= v < g.vertex_count):
@@ -899,11 +900,6 @@ def _euler_circuit(host: Host, pieces: Sequence[Sequence[Step]]) -> tuple[Step, 
 # ---------------------------------------------------------------------------
 # Restricted-trace pipelines
 # ---------------------------------------------------------------------------
-
-
-def _require_connected(host: Host) -> None:
-    if not is_connected(host):
-        raise PreconditionError("graph is disconnected")
 
 
 def _assemble_restricted(

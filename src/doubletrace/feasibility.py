@@ -459,82 +459,58 @@ def decide(query: TraceQuery) -> FeasibilityAnswer:
 def _balanced_orientation(host: Host, edges: Sequence[int]) -> Optional[list[int]]:
     """Orient the undirected ones of ``edges``, given in ascending order, so
     that every vertex has equal in- and out-degree over all of them, or
-    report that none exists.  Max-flow matching tails to edges; the k-th
-    result entry is 0 when the k-th undirected edge keeps its stored order
-    and 1 when it is reversed."""
+    report that none exists.  The k-th result entry is 0 when the k-th
+    undirected edge keeps its stored order and 1 when it is reversed.
+
+    Every undirected edge starts in its stored order.  While some vertex s,
+    least first, is left more often than it is entered, a breadth-first
+    search from s along the undirected edges as now directed, lowest edge
+    first, finds a vertex entered more often than it is left, and the path
+    to it is reversed; no vertex between changes.  When no such vertex is
+    reachable, every undirected edge crossing out of the reached set points
+    inward, so the set is left more often than it is entered under every
+    orientation, and None is returned.
+    """
     split = len(host.edges)  # arcs are indexed after the undirected edges
-    und = [host.endpoints(i) for i in edges if i < split]
-    arcs = [host.endpoints(i) for i in edges if i >= split]
-    degree: dict[int, int] = {}
-    for a, b in und + arcs:
-        degree[a] = degree.get(a, 0) + 1
-        degree[b] = degree.get(b, 0) + 1
-    nverts = sorted(degree)
-    out_a: dict[int, int] = {v: 0 for v in nverts}
-    in_a: dict[int, int] = {v: 0 for v in nverts}
-    for t, h in arcs:
-        out_a[t] += 1
-        in_a[h] += 1
-    for v in nverts:
-        if degree[v] % 2 != 0:
-            return None
-        half = degree[v] // 2
-        if out_a[v] > half or in_a[v] > half:
-            return None
-    if not und:
-        return [] if all(out_a[v] == in_a[v] for v in nverts) else None
-
-    # nodes: 0 = source, 1 = sink, vertices, then one node per undirected edge
-    vid = {v: 2 + k for k, v in enumerate(nverts)}
-    eid0 = 2 + len(nverts)
-    size = eid0 + len(und)
-    cap: list[dict[int, int]] = [dict() for _ in range(size)]
-
-    def add(u: int, w: int, c: int) -> None:
-        cap[u][w] = cap[u].get(w, 0) + c
-        cap[w].setdefault(u, 0)
-
-    for v in nverts:
-        quota = degree[v] // 2 - out_a[v]
-        if quota > 0:
-            add(0, vid[v], quota)
-    for k, (a, b) in enumerate(und):
-        add(vid[a], eid0 + k, 1)
-        add(vid[b], eid0 + k, 1)
-        add(eid0 + k, 1, 1)
-
-    # Ford-Fulkerson with BFS augmenting paths; tiny networks only
-    flow = 0
-    while True:
-        prev = [-1] * size
-        prev[0] = 0
-        queue = [0]
-        for u in queue:  # read in order while it grows
-            if prev[1] != -1:
-                break
-            for w, c in cap[u].items():
-                if c > 0 and prev[w] == -1:
-                    prev[w] = u
-                    queue.append(w)
-        if prev[1] == -1:
-            break
-        # bottleneck is always 1 on these unit-ish networks
-        path = []
-        node = 1
-        while node != 0:
-            path.append((prev[node], node))
-            node = prev[node]
-        bottleneck = min(cap[u][w] for u, w in path)
-        for u, w in path:
-            cap[u][w] -= bottleneck
-            cap[w][u] = cap[w].get(u, 0) + bottleneck
-        flow += bottleneck
-    if flow != len(und):
-        return None
-    # a saturated vertex->edge unit marks that vertex as the edge's tail
-    tails = []
-    for k, (a, b) in enumerate(und):
-        tails.append(0 if cap[vid[a]][eid0 + k] == 0 else 1)
+    ends = [host.endpoints(i) for i in edges if i < split]
+    surplus: dict[int, int] = {}  # out- minus in-degree
+    for i in edges:
+        a, b = host.endpoints(i)
+        surplus[a] = surplus.get(a, 0) + 1
+        surplus[b] = surplus.get(b, 0) - 1
+    if any(x % 2 for x in surplus.values()):
+        return None  # an odd degree
+    incident: dict[int, list[int]] = {v: [] for v in surplus}
+    for k, (a, b) in enumerate(ends):
+        incident[a].append(k)
+        incident[b].append(k)
+    tails = [0] * len(ends)
+    for s in sorted(surplus):
+        while surplus[s] > 0:
+            prev = {s: -1}  # the edge each reached vertex was entered by
+            queue = [s]
+            t = None
+            for u in queue:  # read in order while it grows
+                for k in incident[u]:
+                    if ends[k][tails[k]] != u:
+                        continue
+                    w = ends[k][1 - tails[k]]
+                    if w not in prev:
+                        prev[w] = k
+                        if surplus[w] < 0:
+                            t = w
+                            break
+                        queue.append(w)
+                if t is not None:
+                    break
+            else:
+                return None
+            surplus[s] -= 2
+            surplus[t] += 2
+            while t != s:
+                k = prev[t]
+                t = ends[k][tails[k]]
+                tails[k] ^= 1
     return tails
 
 

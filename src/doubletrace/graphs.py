@@ -745,31 +745,32 @@ def automorphisms(g: Graph, max_vertices: int = 10) -> tuple[tuple[int, ...], ..
     if n == 0:
         return ((),)
 
-    adj = [[False] * n for _ in range(n)]
+    nbr = [0] * n  # neighbour bitmasks
     for a, b in g.edges:
-        adj[a][b] = adj[b][a] = True
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
     deg = [g.degree(v) for v in range(n)]
 
     result: list[tuple[int, ...]] = []
     image = [-1] * n
-    used = [False] * n
 
-    def extend(v: int) -> None:
+    def extend(v: int, placed: int) -> None:
+        """Map v, given the bitmask ``placed`` of the images of 0..v-1: w
+        fits when its neighbours among them are the images of v's."""
         if v == n:
             result.append(tuple(image))
             return
+        want = 0
+        for u in range(v):
+            if nbr[v] >> u & 1:
+                want |= 1 << image[u]
         for w in range(n):
-            if used[w] or deg[w] != deg[v]:
-                continue
-            if any(adj[v][u] != adj[w][image[u]] for u in range(v)):
+            if placed >> w & 1 or deg[w] != deg[v] or nbr[w] & placed != want:
                 continue
             image[v] = w
-            used[w] = True
-            extend(v + 1)
-            used[w] = False
-        image[v] = -1
+            extend(v + 1, placed | 1 << w)
 
-    extend(0)
+    extend(0, 0)
     return tuple(result)
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from doubletrace.graphs import (
 )
 from doubletrace.traces import RestrictionSet
 
+from test_benchmarks import BENCH_SCALE, load
 from test_graphs import brute_spanning_trees
 from test_search_backend import connected_multigraphs
 
@@ -62,6 +64,21 @@ def mixed_euler_feasible(b):
     exactly once, respecting arc directions: one balanced orientation."""
     _reject_disconnected(b)
     return _balanced_orientation(b, range(b.edge_count)) is not None
+
+
+def assert_balances(b, edges, tails):
+    """Every vertex is entered as often as it is left over ``edges``, with
+    the k-th undirected one reversed when ``tails[k]`` is 1."""
+    flips = iter(tails)
+    surplus = [0] * b.vertex_count
+    for i in edges:
+        t, h = b.endpoints(i)
+        if not b.is_arc(i) and next(flips):
+            t, h = h, t
+        surplus[t] += 1
+        surplus[h] -= 1
+    assert next(flips, None) is None
+    assert not any(surplus), surplus
 
 
 def mixed_cut_condition(b, *, max_vertices=8):
@@ -602,7 +619,23 @@ class TestMixed:
                             continue
                         count += 1
                         assert mixed_euler_feasible(b) == mixed_cut_condition(b)
+                        every = range(b.edge_count)
+                        tails = _balanced_orientation(b, every)
+                        if tails is not None:
+                            assert_balances(b, every, tails)
         assert count > 50
+
+    def test_large_balanced_host_orients_fast(self):
+        # a directed Hamiltonian cycle plus edge-disjoint directed cycles,
+        # 70% of edges undirected in a random stored direction
+        b = load(BENCH_SCALE).mixed(8000)
+        every = range(b.edge_count)
+        start = time.perf_counter()
+        tails = _balanced_orientation(b, every)
+        elapsed = time.perf_counter() - start
+        assert tails is not None
+        assert_balances(b, every, tails)
+        assert elapsed < 1.0, elapsed
 
     def test_restricted_variants(self):
         # square with one side restricted and one diagonal pair of arcs

@@ -345,6 +345,70 @@ class TestAutomorphisms:
             assert mapped == eset
 
 
+def reference_automorphisms(g):
+    """The previous search: the same candidate order, but each candidate
+    image is checked against every earlier vertex in turn."""
+    n = g.vertex_count
+    if n == 0:
+        return ((),)
+    adj = [[False] * n for _ in range(n)]
+    for a, b in g.edges:
+        adj[a][b] = adj[b][a] = True
+    deg = [g.degree(v) for v in range(n)]
+    result = []
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(v):
+        if v == n:
+            result.append(tuple(image))
+            return
+        for w in range(n):
+            if used[w] or deg[w] != deg[v]:
+                continue
+            if any(adj[v][u] != adj[w][image[u]] for u in range(v)):
+                continue
+            image[v] = w
+            used[w] = True
+            extend(v + 1)
+            used[w] = False
+        image[v] = -1
+
+    extend(0)
+    return tuple(result)
+
+
+class TestAutomorphismsMatchReference:
+    """The bitmask search returns the reference's permutations, in order."""
+
+    def test_every_connected_graph_up_to_6_vertices(self):
+        count = 0
+        for n in range(7):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                g = Graph(n, [p for k, p in enumerate(pairs) if bits >> k & 1])
+                if n and not is_connected(g):
+                    continue
+                assert automorphisms(g) == reference_automorphisms(g), g
+                count += 1
+        assert count == 1 + 1 + 1 + 4 + 38 + 728 + 26704
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_seeded_graphs_7_to_10_vertices(self, seed):
+        rng = random.Random(seed)
+        for n in range(7, 11):
+            pairs = list(itertools.combinations(range(n), 2))
+            for _ in range(8):
+                g = Graph(n, rng.sample(pairs, rng.randint(n - 1, len(pairs))))
+                assert automorphisms(g) == reference_automorphisms(g), g
+
+    def test_k33(self):
+        g = Graph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+        auts = automorphisms(g)
+        assert auts == reference_automorphisms(g)
+        assert len(auts) == 72
+
+
 class TestBuilders:
     def test_complete(self):
         assert complete_graph(5).edge_count == 10
