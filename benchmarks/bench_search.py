@@ -193,10 +193,10 @@ def summarize(result, kw):
     return f"steps={len(result)}"
 
 
-def main():
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--repeat", type=int, default=3)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     print(f"{'case':<28} {'median':>10}  result")
     for name, g, labels, kw in CASES:
@@ -207,7 +207,8 @@ def main():
         print(f"{name:<28} {t * 1e3:>8.1f}ms  sequences={sequences} classes={classes}")
     t, queries, codes = bench_sweeps(args.repeat)
     print(f"{'--p sweeps':<28} {t * 1e3:>8.1f}ms  queries={queries} exits={codes}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -293,7 +293,8 @@ def _read_trace_steps(doc, host: Host) -> tuple[tuple[int, int], ...]:
         raise InputError("trace file must be a JSON object with a 'steps' array")
     steps = []
     for t, item in enumerate(doc["steps"]):
-        if not isinstance(item, dict) or not isinstance(item.get("edge"), int):
+        # JSON true and false are Python ints, so every field is typed exactly
+        if not isinstance(item, dict) or type(item.get("edge")) is not int:
             raise InputError(f"step {t}: expected an object with an integer 'edge'")
         e = item["edge"]
         if not (0 <= e < host.edge_count):
@@ -305,16 +306,15 @@ def _read_trace_steps(doc, host: Host) -> tuple[tuple[int, int], ...]:
             if a == b:
                 raise InputError(f"step {t}: loop steps need an explicit 'flag'")
             tail = item.get("from")
-            if tail not in (a, b):
+            if type(tail) is not int or tail not in (a, b):
                 raise InputError(f"step {t}: 'from' must name an endpoint of edge {e}")
             flag = 0 if tail == a else 1
-        if flag not in (0, 1):
+        if type(flag) is not int or flag not in (0, 1):
             raise InputError(f"step {t}: 'flag' must be 0 or 1")
         tail, head = (a, b) if flag == 0 else (b, a)
-        if "from" in item and item["from"] != tail:
-            raise InputError(f"step {t}: 'from' contradicts edge {e} flag {flag}")
-        if "to" in item and item["to"] != head:
-            raise InputError(f"step {t}: 'to' contradicts edge {e} flag {flag}")
+        for key, end in (("from", tail), ("to", head)):
+            if key in item and (type(item[key]) is not int or item[key] != end):
+                raise InputError(f"step {t}: '{key}' contradicts edge {e} flag {flag}")
         steps.append((e, flag))
     return tuple(steps)
 

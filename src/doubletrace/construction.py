@@ -9,8 +9,10 @@ trace, lifted and cut at the contracted vertices, joined with the fragment
 walked twice in one direction by one Euler circuit over the pieces, and
 then repaired by repetition surgery at the fragment vertices; a restricted
 double trace is the same circuit over its own pieces, with no surgery.
-d-stable traces certified by a high-degree vertex run the same pipeline
-after splitting that vertex into two halves of at least d + 1 edges each.
+Before the quotient is walked, ``_split_graph`` splits one vertex of each
+odd co-tree component, in one pass: a contracted or looped vertex hands the
+component's edges at it to a copy, and a high-degree vertex that certifies
+a d-stable trace is split into two halves of at least d + 1 edges each.
 Strong traces with free directions run it on a T-join with a tree written
 down, not searched, and take a multigraph's loops in afterwards.  None of
 them searches for a trace: they are polynomial apart from the
@@ -118,8 +120,7 @@ def euler_tour(fragment: Walkable) -> ClosedWalk:
     for v in verts:
         out[v].sort()
 
-    directed = bool(arcs)
-    used: set[int] = set()  # directed slots are unique already
+    used: set[int] = set()  # an undirected edge has a slot at each end
     tail = host.dart_tails
     ptr = {v: 0 for v in verts}
     start = verts[0]
@@ -131,7 +132,7 @@ def euler_tour(fragment: Walkable) -> ClosedWalk:
         while ptr[v] < len(out[v]):
             step = out[v][ptr[v]]
             ptr[v] += 1
-            if directed or step[0] not in used:
+            if step[0] not in used:
                 used.add(step[0])
                 path.append((tail[2 * step[0] + 1 - step[1]], step))
                 moved = True
@@ -482,86 +483,33 @@ def antiparallel_strong_trace(
     return DoubleTrace._of(g, _one_face_walk(g, cert))
 
 
-def _split_vertex(
-    edges: list[tuple[int, int]], v: int, copy: int, moved
-) -> None:
-    # a moved loop keeps one end at v and joins the two halves
-    for i in moved:
-        a, b = edges[i]
-        edges[i] = (copy, b) if a == v else (a, copy)
-
-
-Split = tuple[int, frozenset[int], int]
-
-
 def antiparallel_double_trace_with_repetitions_in(
-    g: Host,
-    witness_set,
-    cert: SpanningTreeCertificate,
-    splits: Sequence[Split] = (),
+    g: Host, witness_set, cert: SpanningTreeCertificate
 ) -> DoubleTrace:
     """Antiparallel double trace whose nontrivial repetitions all sit in
-    ``witness_set`` and at the vertices of ``splits``.
+    ``witness_set``.
 
-    Each split ``(v, moved, f)`` is applied first, in order: v gets a new
-    copy, the ``moved`` edges at v are handed to the copy and co-tree edge
-    f joins the tree; the caller guarantees that the tree still spans and
-    that f's component falls into even pieces (``_balanced_split``).  Each
-    odd co-tree component left then donates one witness vertex, split the
-    same way with the component's edges at that vertex moved and one of
-    them joining the tree.  The split graph's antiparallel strong trace
-    projects back by renaming the copies, so a split vertex keeps exactly
-    two transition classes: its moved edges and the rest.
+    Each odd co-tree component of ``cert`` donates its least witness vertex,
+    which ``_split_graph`` splits in two.  The split graph's antiparallel
+    strong trace projects back by renaming the copies, so a split vertex
+    keeps exactly two transition classes: its moved edges and the rest.
     """
     _reject_disconnected(g)
     witness = frozenset(int(v) for v in witness_set)
     for v in witness:
         if not (0 <= v < g.vertex_count):
             raise InputError(f"witness vertex {v} out of range")
-    report = None
-    if isinstance(cert, SpanningTreeCertificate) and cert.host == g:
-        report = cert.fresh_report(witness | {v for v, _, _ in splits})
-    if report is None:
+    if not (
+        isinstance(cert, SpanningTreeCertificate)
+        and cert.host == g
+        and cert.revalidate(witness)
+    ):
         raise PreconditionError(
             "certificate does not certify this graph and witness set"
         )
-
-    edges = list(g.edges)
-    n = g.vertex_count
-    tree = set(cert.tree_edges)
-    h = g
-    if splits:
-        for v, moved, f in splits:
-            _split_vertex(edges, v, n, moved)
-            n += 1
-            tree.add(f)
-        h = Multigraph(n, tuple(edges))
-        report = _co_tree_report(h, tree, witness)
-    # splitting one odd component touches no other, so all of them are
-    # split on one graph, and the split graph is built once
-    odd = [c for c in report if c.odd]
-    for comp in odd:
-        v = min(u for u in comp.vertices if u in witness)
-        attach = sorted(i for i in comp.edges if v in h.endpoints(i))
-        # an attachment edge whose removal leaves only even pieces; one
-        # always exists because an all-bridges vertex in an odd component
-        # would force an even edge count
-        e = next((i for i in attach if _lobes(h, comp.edges - {i}, v) is not None), None)
-        if e is None:
-            raise InternalConsistencyError(
-                f"odd component {sorted(comp.edges)!r} has no splittable edge at {v}"
-            )
-        _split_vertex(edges, v, n, attach)
-        n += 1
-        tree.add(e)
-    if odd:
-        h = Multigraph(n, tuple(edges))
-        report = _co_tree_report(h, tree, witness)
-    # every co-tree component is even now, and the one-face walk checks
-    # that its single face covers every edge twice
-    steps = _one_face_walk(h, SpanningTreeCertificate(h, frozenset(tree), report))
+    split = _split_graph(g, cert, witness, None)
     # indices and flags carry over verbatim; only vertex names differ
-    return DoubleTrace._of(g, steps)
+    return DoubleTrace._of(g, _one_face_walk(split.host, split))
 
 
 def _co_tree_report(h: Host, tree, witness) -> ComponentReport:
@@ -570,7 +518,7 @@ def _co_tree_report(h: Host, tree, witness) -> ComponentReport:
 
 
 # ---------------------------------------------------------------------------
-# Degree-bar splits
+# Vertex splits
 # ---------------------------------------------------------------------------
 #
 # A d-stable verdict may excuse an odd co-tree component C by a vertex v of
@@ -596,10 +544,10 @@ def _co_tree_report(h: Host, tree, witness) -> ComponentReport:
 # split choice with brute force over every partition of E(v), for every
 # admissible tree of every graph with up to 5 vertices.  About 40,000
 # seeded random positives with 5 to 8 vertices built without a failure
-# when the construction was written.  The builder splits the verdict's own
-# tree when it can, and only otherwise searches the admissible trees for one
-# that splits; if none does it raises InternalConsistencyError and never
-# searches for a trace instead.
+# when the construction was written.  ``_split_graph`` splits the verdict's
+# own tree when it can, and only otherwise does ``_restricted_trace`` search
+# the admissible trees for one that splits; if none does it raises
+# InternalConsistencyError and never searches for a trace instead.
 
 
 def _tree_branches(h: Host, tree, v: int) -> dict[int, int]:
@@ -750,73 +698,69 @@ def _balanced_split(
     return None
 
 
-def _degree_bar_splits(
-    h: Host,
-    cert: SpanningTreeCertificate,
-    witness: set[int],
-    contracted: set[int],
-    d: int,
-) -> Optional[list[Split]]:
-    """Splits for every odd co-tree component without a contracted vertex,
-    or None when one of them has none.
+def _split_vertex(
+    edges: list[tuple[int, int]], v: int, copy: int, moved
+) -> None:
+    # a moved loop keeps one end at v and joins the two halves
+    for i in moved:
+        a, b = edges[i]
+        edges[i] = (copy, b) if a == v else (a, copy)
+
+
+def _split_graph(
+    h: Host, cert: SpanningTreeCertificate, excused, d: Optional[int]
+) -> Optional[SpanningTreeCertificate]:
+    """The all-even certificate of ``h`` with one vertex of each odd co-tree
+    component of ``cert`` split off into a new copy; None when a component
+    without an ``excused`` vertex has no split.
 
     Components are split one after another, each on the graph and tree the
     earlier splits left: moving tree edges reroutes tree paths, so splits
-    chosen independently need not span together.
+    chosen independently need not span together.  A component holding an
+    excused vertex (in a restricted build, a contracted or looped one) is
+    split at the least one, v: its edges at v move to the copy, and the
+    first of them whose removal leaves only even pieces away from v joins
+    the tree.  One always exists, because an all-bridges vertex in an odd
+    component would force an even edge count.  Any other component is
+    split at its first vertex of degree >= 2d + 2 that ``_balanced_split``
+    accepts; with ``d`` None it has none.
     """
     edges = list(h.edges)
     n = h.vertex_count
     tree = set(cert.tree_edges)
-    splits: list[Split] = []
     for comp in cert.co_tree_report:
-        if not comp.odd or not contracted.isdisjoint(comp.vertices):
+        if not comp.odd:
             continue
-        cur = Multigraph(n, tuple(edges))
-        for v in sorted(comp.vertices & witness):
-            found = _balanced_split(cur, tree, comp.edges, v, d)
-            if found is not None:
-                break
-        else:
+        here = comp.vertices & excused
+        if here:
+            v = min(here)
+            # a split moves no other component's co-tree edges, so this
+            # one's edges keep their ends in h
+            moved = [i for i in sorted(comp.edges) if v in h.endpoints(i)]
+            f = next((i for i in moved if _lobes(h, comp.edges - {i}, v) is not None), None)
+            if f is None:
+                raise InternalConsistencyError(
+                    f"odd component {sorted(comp.edges)!r} has no splittable edge at {v}"
+                )
+        elif d is None:
             return None
-        moved, f = found
-        splits.append((v, moved, f))
+        else:
+            cur = Multigraph(n, tuple(edges))
+            # a vertex of degree below 2d + 2 has no split
+            for v in sorted(comp.vertices):
+                found = _balanced_split(cur, tree, comp.edges, v, d)
+                if found is not None:
+                    break
+            else:
+                return None
+            moved, f = found
         _split_vertex(edges, v, n, moved)
         n += 1
         tree.add(f)
-    return splits
-
-
-def _degree_bar_certificate(
-    h: Host,
-    cert: SpanningTreeCertificate,
-    witness: set[int],
-    contracted: set[int],
-    d: int,
-    host: Host,
-) -> tuple[SpanningTreeCertificate, list[Split]]:
-    """The verdict's certificate ``cert`` with its splits when all of its
-    degree-bar components split, else the first admissible tree of ``h``
-    whose components all do.
-
-    The search is the verdict's own, which passed the decider's gate, with
-    one more leaf test; its first leaf is ``cert`` again.
-    """
-    found: list[tuple[SpanningTreeCertificate, list[Split]]] = []
-
-    def accept(leaf: SpanningTreeCertificate) -> bool:
-        splits = _degree_bar_splits(h, leaf, witness, contracted, d)
-        if splits is not None:
-            found.append((leaf, splits))
-        return splits is not None
-
-    if not accept(cert):
-        find_admissible_tree(h, witness, accept=accept)
-    if not found:
-        raise InternalConsistencyError(
-            f"no admissible tree splits every degree-bar component into two "
-            f"halves of at least {d + 1} edges: {host!r}"
-        )
-    return found[0]
+    if n == h.vertex_count:
+        return cert
+    split = Multigraph(n, tuple(edges))
+    return SpanningTreeCertificate(split, frozenset(tree), _co_tree_report(split, tree, excused))
 
 
 # ---------------------------------------------------------------------------
@@ -903,13 +847,10 @@ def _euler_circuit(host: Host, pieces: Sequence[Sequence[Step]]) -> tuple[Step, 
 
 
 def _assemble_restricted(
-    host: Host,
-    cmap: ContractionMap,
-    cert: SpanningTreeCertificate,
-    splits: Sequence[Split] = (),
+    host: Host, cmap: ContractionMap, split: SpanningTreeCertificate
 ) -> DoubleTrace:
-    """The restricted trace from the quotient's certificate: one Euler
-    circuit over pieces, then repetition surgery.
+    """The restricted trace from the split quotient's all-even certificate:
+    one Euler circuit over pieces, then repetition surgery.
 
     The quotient's antiparallel trace is lifted and cut after each arrival
     at a contracted vertex, so every piece runs from one fragment vertex to
@@ -920,9 +861,8 @@ def _assemble_restricted(
     transitions of the quotient trace: one class, or two at a degree-bar
     split.  With no fragment the lifted quotient trace is the answer.
     """
-    q_steps = antiparallel_double_trace_with_repetitions_in(
-        cmap.quotient, _quotient_witnesses(cmap, None), cert, splits
-    ).steps
+    # the split graph's edge indices are the quotient's
+    q_steps = _one_face_walk(split.host, split)
     if len(cmap.edge_origin) == host.edge_count:
         return DoubleTrace._of(host, tuple([(cmap.edge_origin[qe], f) for qe, f in q_steps]))
     # the contraction found the fragment's components: each is the set of
@@ -956,33 +896,38 @@ def _restricted_trace(
     contracted again.
 
     An empty restriction yields the all-parallel construction.  Otherwise
-    the verdict's tree drives the contraction pipeline, which finishes with
-    repetition surgery; that always applies, because every leftover
-    repetition sits at a vertex carrying a same-direction edge.  A d-stable
-    tree whose odd co-tree components all hold a contracted or looped
-    vertex needs nothing more, and the output is d-stable thanks to the
-    minimum-degree gate.  Otherwise each component excused only by a vertex
+    ``_split_graph`` splits one vertex of each odd co-tree component of the
+    verdict's tree, and the contraction pipeline finishes with repetition
+    surgery; that always applies, because every leftover repetition sits at
+    a vertex carrying a same-direction edge.  A component holding a
+    contracted or looped vertex is split there, and the output is d-stable
+    thanks to the minimum-degree gate.  A component excused only by a vertex
     of quotient degree >= 2d + 2 is split at that vertex into two halves of
     at least d + 1 edges each (the split lemma above): the vertex keeps its
-    two classes, every other vertex ends with one.
+    two classes, every other vertex ends with one.  Only when the verdict's
+    tree has no such split are the admissible trees searched for one.
     """
     if not r.antiparallel_edges:
         return parallel_strong_trace(host)
     cmap = answer.analysis
-    cert, splits = answer.certificate, []
-    contracted = _quotient_witnesses(cmap, None)
-    if d is not None and any(
-        c.odd and contracted.isdisjoint(c.vertices) for c in cert.co_tree_report
-    ):
-        cert, splits = _degree_bar_certificate(
-            cmap.quotient,
-            cert,
-            _quotient_witnesses(cmap, 2 * d + 2),
-            contracted,
-            d,
-            host,
-        )
-    return _assemble_restricted(host, cmap, cert, splits)
+    h, excused = cmap.quotient, _quotient_witnesses(cmap, None)
+    split = _split_graph(h, answer.certificate, excused, d)
+    if split is None:
+        # the verdict's own search, which passed the decider's gate, with
+        # one more leaf test; its first leaf is the verdict's tree again
+        found: list[Optional[SpanningTreeCertificate]] = []
+
+        def accept(leaf: SpanningTreeCertificate) -> bool:
+            found.append(_split_graph(h, leaf, excused, d))
+            return found[-1] is not None
+
+        if find_admissible_tree(h, _quotient_witnesses(cmap, 2 * d + 2), accept=accept) is None:
+            raise InternalConsistencyError(
+                f"no admissible tree splits every degree-bar component into two "
+                f"halves of at least {d + 1} edges: {host!r}"
+            )
+        split = found[-1]
+    return _assemble_restricted(host, cmap, split)
 
 
 def _t_join_certificate(g: Host) -> tuple[RestrictionSet, FeasibilityAnswer]:

@@ -5,7 +5,9 @@ import importlib.util
 import json
 from pathlib import Path
 
-BENCH_SCALE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_scale.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+BENCH_SCALE = BENCHMARKS / "bench_scale.py"
+BENCH_SEARCH = BENCHMARKS / "bench_search.py"
 
 
 def load(path: Path):
@@ -24,3 +26,11 @@ def test_bench_scale_runs_every_family(tmp_path):
     assert {f for f, _ in bench.POINTS} == set(bench.FAMILIES)
     for point in points.values():
         assert len(point["rows"]) == 2
+
+
+def test_bench_search_runs_every_case(capsys):
+    bench = load(BENCH_SEARCH)
+    assert bench.main(["--repeat", "1"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    names = [name for name, *_ in bench.CASES + bench.FOLD_CASES] + ["--p sweeps"]
+    assert [row[:28].rstrip() for row in rows] == names

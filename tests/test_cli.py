@@ -827,6 +827,27 @@ class TestClassify:
         assert code == 2
         assert "contradicts" in err
 
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            ({"edge": False, "flag": False}, "integer 'edge'"),
+            ({"edge": 0, "flag": False}, "'flag' must be 0 or 1"),
+            ({"edge": 0, "from": False}, "'from' must name an endpoint"),
+            ({"edge": 0, "flag": 0, "from": False}, "'from' contradicts"),
+            ({"edge": 0, "flag": 0, "to": True}, "'to' contradicts"),
+        ],
+    )
+    def test_json_booleans_rejected(self, tmp_path, capsys, first, message):
+        # true and false compare equal to 1 and 0, but are not step fields;
+        # the rest of the parallel triangle trace is valid
+        gpath = write(tmp_path, "c3.g", C3_TEXT)
+        steps = [first, {"edge": 1, "flag": 0}, {"edge": 2, "flag": 0}]
+        steps += [{"edge": e, "flag": 0} for e in range(3)]
+        tpath = write(tmp_path, "t.json", json.dumps({"steps": steps}))
+        code, _, err = run_cli(capsys, "classify", tpath, gpath)
+        assert code == 2
+        assert message in err
+
     def test_bad_json_exit_2(self, tmp_path, capsys):
         gpath = write(tmp_path, "c3.g", C3_TEXT)
         tpath = write(tmp_path, "t.json", "{nope")

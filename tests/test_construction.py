@@ -13,6 +13,7 @@ from doubletrace.construction import (
     _euler_circuit,
     _free_direction_trace,
     _restricted_double_trace,
+    _split_graph,
     _t_join_certificate,
     antiparallel_double_trace_with_repetitions_in,
     antiparallel_strong_trace,
@@ -872,6 +873,53 @@ class TestBalancedSplit:
             witness = lambda v: v == 0
             cases += self.compare(g, witness, lambda v: False, 2)
         assert cases > 10
+
+
+class TestSplitGraph:
+    def test_every_admissible_tree_up_to_five_vertices(self):
+        splits = refusals = 0
+        for g in small_iso_types():
+            n = g.vertex_count
+            # every vertex excused pins the choice of the least one
+            sets = [set()] + [{v} for v in range(n)] + [set(range(n))]
+            for d, excused in itertools.product((1, 2), sets):
+                high = {v for v in range(n) if g.degree(v) >= 2 * d + 2}
+                for tree, report in admissible_trees(g, excused | high):
+                    split = _split_graph(g, SpanningTreeCertificate(g, tree, report), excused, d)
+                    odd = [c for c in report if c.odd]
+                    if split is None:
+                        assert any(self.unsplittable(g, tree, c, high, d) for c in odd
+                                   if excused.isdisjoint(c.vertices)), (g.edges, tree, d)
+                        refusals += 1
+                        continue
+                    assert split.revalidate()
+                    h = split.host
+                    assert h.vertex_count == n + len(odd)
+                    back = {}
+                    for ends, host_ends in zip(h.edges, g.edges):
+                        for u, w in zip(ends, host_ends):
+                            back.setdefault(u, w)
+                    assert [(back[a], back[b]) for a, b in h.edges] == list(g.edges)
+                    assert all(back[v] == v for v in range(n) if v in back)
+                    # the k-th odd component's copy is of one of its vertices
+                    for k, comp in enumerate(odd):
+                        assert back[n + k] in comp.vertices
+                        if not excused.isdisjoint(comp.vertices):
+                            assert back[n + k] == min(excused & comp.vertices)
+                    splits += 1
+        assert splits > 4000 and refusals > 0
+
+    @staticmethod
+    def unsplittable(g, tree, comp, high, d):
+        """Whether no vertex of degree >= 2d + 2 splits the component, by
+        brute force over every edge set at it and every co-tree edge."""
+        return not any(
+            split_works(g, tree, comp.edges, v, d, frozenset(moved), f)
+            for v in comp.vertices & high
+            for k in range(g.degree(v) + 1)
+            for moved in itertools.combinations(g.incident(v), k)
+            for f in comp.edges
+        )
 
 
 class TestMixedBuilder:
